@@ -2,9 +2,9 @@
 
 Likelihood matrices have one row per detection and one column per active
 track plus a trailing NEW_TRACK column.  Rows are probability distributions
-(softmin of distances, row-normalized); the Rao-Blackwellized particle
-filter samples one-to-one assignments from them, keeping several competing
-association hypotheses alive across frames.
+(softmin of distances, row-normalized); every particle samples one-to-one
+assignments from them afresh each frame, so no association hypothesis
+survives a frame and only particle weights carry over (ROADMAP.md item 2).
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ MODES = (POS_ONLY, APP_ONLY, POS_APP)
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; a row with no mass falls back to NEW_TRACK."""
-    matrix = matrix.copy()
-    for i in range(matrix.shape[0]):
-        total = matrix[i].sum()
-        if total <= 0.0:
-            matrix[i] = 0.0
-            matrix[i, -1] = 1.0
-        else:
-            matrix[i] /= total
+    totals = matrix.sum(axis=1, keepdims=True)
+    empty = totals[:, 0] <= 0.0
+    matrix = matrix / np.where(empty[:, None], 1.0, totals)
+    matrix[empty] = 0.0
+    matrix[empty, -1] = 1.0
     return matrix
 
 
@@ -76,16 +73,11 @@ def appearance_likelihood(
     NEW_TRACK column, making them indistinguishable from a new identity on
     appearance alone.
     """
-    n_det, n_trk = len(features), len(track_ids)
     floor = np.exp(-d0_app)
-    matrix = np.zeros((n_det, n_trk + 1))
-    for i, feat in enumerate(features):
-        for j, person in enumerate(track_ids):
-            try:
-                matrix[i, j] = np.exp(-gallery.min_distance(person, feat))
-            except KeyError:
-                matrix[i, j] = floor
-        matrix[i, n_trk] = floor
+    matrix = np.full((len(features), len(track_ids) + 1), floor)
+    distances = gallery.distances(features, track_ids)
+    stored = np.isfinite(distances)
+    matrix[:, :-1][stored] = np.exp(-distances[stored])
     return _normalize_rows(matrix)
 
 
@@ -141,11 +133,12 @@ def rbpf_step(
 ) -> tuple[ParticleSet, np.ndarray]:
     """Advance the particle set over one frame's association matrix.
 
-    Each particle samples a column per detection row, excluding real-track
-    columns it already took this frame (NEW_TRACK can repeat).  Weights are
-    multiplied by the sampled probabilities, renormalized, and systematically
-    resampled when the effective sample size drops below P/2.  The consensus
-    assignment is the highest-weight particle's assignment.
+    Each particle samples a fresh column per detection row, excluding
+    real-track columns it already took this frame (NEW_TRACK can repeat);
+    ``ps.assignments`` is never read, only ``ps.weights`` carry over.
+    Weights are multiplied by the sampled probabilities, renormalized, and
+    systematically resampled when the effective sample size drops below P/2.
+    The consensus assignment is the highest-weight particle's assignment.
     """
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1

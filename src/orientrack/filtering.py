@@ -2,14 +2,12 @@
 
 State is (cx, cy, w, h, vx, vy) in pixels and pixels/frame; measurements are
 (cx, cy, w, h).  The transition is linear, so the filter is an ordinary
-Kalman filter; ``predict`` accepts an optional jacobian hook for nonlinear
-motion models.
+Kalman filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,11 +38,6 @@ def box_to_measurement(left: float, top: float, width: float, height: float) -> 
     return np.array([left + width / 2.0, top + height / 2.0, width, height])
 
 
-def measurement_to_box(z: np.ndarray) -> tuple[float, float, float, float]:
-    cx, cy, w, h = z
-    return (cx - w / 2.0, cy - h / 2.0, w, h)
-
-
 def initial_state(z: np.ndarray) -> TrackState:
     """Track state from a first measurement: zero velocity, wide velocity prior."""
     mean = np.zeros(STATE_DIM)
@@ -52,15 +45,10 @@ def initial_state(z: np.ndarray) -> TrackState:
     return TrackState(mean=mean, cov=np.diag(INITIAL_COV_DIAG.copy()))
 
 
-def predict(
-    state: TrackState,
-    q: float = 1.0,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> TrackState:
+def predict(state: TrackState, q: float = 1.0) -> TrackState:
     """One-step prediction under the dt=1 constant-velocity model."""
-    F = jacobian(state.mean) if jacobian is not None else TRANSITION
-    mean = F @ state.mean
-    cov = F @ state.cov @ F.T + q * np.diag(PROCESS_WEIGHTS)
+    mean = TRANSITION @ state.mean
+    cov = TRANSITION @ state.cov @ TRANSITION.T + q * np.diag(PROCESS_WEIGHTS)
     return TrackState(mean=mean, cov=(cov + cov.T) / 2.0)
 
 

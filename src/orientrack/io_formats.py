@@ -14,7 +14,9 @@ positioned error; nothing is returned partially.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -86,9 +88,12 @@ def _parse_int(raw: str, line_no: int, name: str) -> int:
 
 def _parse_float(raw: str, line_no: int, name: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(line_no, f"non-numeric {name}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"non-finite {name}: {raw!r}")
+    return value
 
 
 def parse_mot(text: str) -> list[DetectionRecord]:
@@ -188,18 +193,20 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
         if not isinstance(det_index, int) or det_index < 0:
             raise ParseError(line_no, f"det_index must be non-negative, got {det_index!r}")
-        if len(keypoints) != COCO_KEYPOINT_COUNT:
+        try:
+            array = np.array(keypoints, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(line_no, "keypoints must be numeric (x, y, c) triples") from None
+        if array.shape != (COCO_KEYPOINT_COUNT, 3):
             raise ParseError(
-                line_no, f"expected {COCO_KEYPOINT_COUNT} keypoints, got {len(keypoints)}"
+                line_no, f"expected {COCO_KEYPOINT_COUNT} keypoints, got shape {array.shape}"
             )
-        array = np.zeros((COCO_KEYPOINT_COUNT, 3), dtype=np.float64)
-        for i, triple in enumerate(keypoints):
-            if len(triple) != 3:
-                raise ParseError(line_no, f"keypoint {i} is not an (x, y, c) triple")
-            x, y, c = (float(v) for v in triple)
-            if not 0.0 <= c <= 1.0:
-                raise ParseError(line_no, f"keypoint {i} confidence {c} outside [0, 1]")
-            array[i] = (x, y, c)
+        if not np.isfinite(array[:, :2]).all():
+            raise ParseError(line_no, "keypoint position is not finite")
+        outside = ~((array[:, 2] >= 0.0) & (array[:, 2] <= 1.0))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ParseError(line_no, f"keypoint {i} confidence {array[i, 2]} outside [0, 1]")
         records.append(KeypointRecord(frame=frame, det_index=det_index, keypoints=array))
     return records
 
@@ -219,6 +226,24 @@ def parse_config(text: str) -> dict[str, str]:
             raise ParseError(line_no, f"duplicate key {key!r}")
         values[key] = value.strip()
     return values
+
+
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
+    """Build dataclass ``cls`` from string values, coercing each by its field type."""
+    hints = get_type_hints(cls)
+    coercions = {
+        f.name: _parse_bool if hints[f.name] is bool else hints[f.name] for f in fields(cls)
+    }
+    kwargs = {}
+    for key, raw in mapping.items():
+        if key not in coercions:
+            raise ValueError(f"unknown {kind} key {key!r}")
+        kwargs[key] = coercions[key](raw)
+    return cls(**kwargs)
 
 
 def group_by_frame(records: list[DetectionRecord]) -> dict[int, list[DetectionRecord]]:

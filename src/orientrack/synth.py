@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_formats import COCO_KEYPOINT_COUNT
+from .io_formats import COCO_KEYPOINT_COUNT, config_from_mapping
 from .pose_orientation import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER
 
 TWO_PI = 2.0 * math.pi
@@ -54,18 +54,7 @@ class SynthConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthConfig":
-        coercions = {
-            "persons": int, "frames": int, "width": float, "height": float,
-            "dim": int, "kappa": float, "sigma": float, "sigma_det": float,
-            "crossing": lambda v: v.lower() in ("1", "true", "yes"),
-            "seed": int,
-        }
-        kwargs: dict = {}
-        for key, raw in mapping.items():
-            if key not in coercions:
-                raise ValueError(f"unknown synth config key {key!r}")
-            kwargs[key] = coercions[key](raw)
-        return cls(**kwargs)
+        return config_from_mapping(cls, mapping, "synth config")
 
 
 @dataclass

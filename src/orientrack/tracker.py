@@ -1,7 +1,8 @@
 """Per-frame tracking loop: predict, associate, update, maintain galleries.
 
-The driver owns a set of live tracks, a particle set carrying association
-hypotheses, and an appearance gallery keyed by track id.  Filters and the
+The tracker owns a set of live tracks, a particle set whose assignments are
+re-sampled from scratch every frame (only weights carry over; ROADMAP.md
+item 2), and an appearance gallery keyed by track id.  Filters and the
 gallery are mutated from the consensus (highest-weight) particle only;
 per-particle filter banks are out of scope.
 """
@@ -18,6 +19,7 @@ from .io_formats import (
     DetectionRecord,
     FeatureTable,
     KeypointRecord,
+    config_from_mapping,
     group_by_frame,
     parse_config,
 )
@@ -70,17 +72,7 @@ class TrackerConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrackerConfig":
-        kwargs: dict = {}
-        coercions = {
-            "bins": int, "smax": float, "particles": int, "mode": str,
-            "gallery": str, "q": float, "r": float, "d0_pos": float,
-            "d0_app": float, "confirm_hits": int, "max_age": int, "seed": int,
-        }
-        for key, raw in mapping.items():
-            if key not in coercions:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = coercions[key](raw)
-        return cls(**kwargs)
+        return config_from_mapping(cls, mapping)
 
 
 @dataclass

@@ -271,10 +271,10 @@ class TestNumericInvariants:
             vectors = [rng.standard_normal(4) for _ in range(int(rng.integers(1, 30)))]
             for v in vectors:
                 g.insert(1, v)
-            slot = g._slots[1][0]
+            row = g._row_of[(1, 0)]
             worst_mean = max(
                 worst_mean,
-                float(np.abs(slot.mean - np.mean(vectors, axis=0)).max()),
+                float(np.abs(g._vectors[row] - np.mean(vectors, axis=0)).max()),
             )
         mean_ok = worst_mean <= 1e-9
 

@@ -8,7 +8,6 @@ from orientrack.filtering import (
     box_to_measurement,
     initial_state,
     mahalanobis,
-    measurement_to_box,
     predict,
     update,
 )
@@ -140,4 +139,3 @@ class TestMeasurementConversion:
     def test_round_trip(self):
         z = box_to_measurement(10.0, 20.0, 30.0, 60.0)
         np.testing.assert_allclose(z, [25.0, 50.0, 30.0, 60.0])
-        np.testing.assert_allclose(measurement_to_box(z), [10.0, 20.0, 30.0, 60.0])

@@ -146,3 +146,40 @@ class TestParseConfig:
     def test_missing_equals(self):
         with pytest.raises(ParseError):
             parse_config("bins 2")
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("field", range(2, 7))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_mot_box_and_conf(self, field, bad):
+        fields = "1,-1,10,20,30,60,0.9".split(",")
+        fields[field] = bad
+        text = "1,-1,10,20,30,60,0.9\n" + ",".join(fields)
+        with pytest.raises(ParseError) as exc:
+            parse_mot(text)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_feature_value(self, bad):
+        with pytest.raises(ParseError) as exc:
+            parse_features(f"# dim=2\n1,0,1.0,0.0\n1,1,0.5,{bad}")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_keypoint_position(self, bad, axis):
+        triple = ["1", "2", "1"]
+        triple[axis] = bad
+        triples = "[" + ",".join(["[0,0,0]"] * 17 + ["[" + ",".join(triple) + "]"]) + "]"
+        good = '{"frame":1,"det_index":0,"keypoints":' + str([[0, 0, 0]] * 18) + "}"
+        line = '{"frame":1,"det_index":1,"keypoints":' + triples + "}"
+        with pytest.raises(ParseError) as exc:
+            parse_keypoints(good + "\n" + line)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("triple", ['["a",0,0]', "[null,0,0]", "7"])
+    def test_keypoint_non_numeric(self, triple):
+        triples = "[" + ",".join(["[0,0,0]"] * 17 + [triple]) + "]"
+        with pytest.raises(ParseError) as exc:
+            parse_keypoints('{"frame":1,"det_index":0,"keypoints":' + triples + "}")
+        assert exc.value.line == 1

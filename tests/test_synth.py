@@ -155,5 +155,23 @@ class TestConfigValidation:
         assert cfg.persons == 3
         assert cfg.crossing is True
         assert cfg.kappa == 0.5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown synth config key 'nope'"):
             SynthConfig.from_mapping({"nope": "1"})
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("1", True), ("true", True), ("YES", True), ("0", False), ("no", False)],
+    )
+    def test_from_mapping_crossing_flag(self, raw, expected):
+        assert SynthConfig.from_mapping({"crossing": raw}).crossing is expected
+
+    def test_from_mapping_every_field(self):
+        cfg = SynthConfig.from_mapping(
+            {"persons": "2", "frames": "3", "width": "100", "height": "50", "dim": "4",
+             "kappa": "0.1", "sigma": "0.2", "sigma_det": "0.3", "crossing": "yes",
+             "seed": "5"}
+        )
+        assert cfg == SynthConfig(
+            persons=2, frames=3, width=100.0, height=50.0, dim=4, kappa=0.1,
+            sigma=0.2, sigma_det=0.3, crossing=True, seed=5,
+        )

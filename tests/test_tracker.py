@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orientrack.io_formats import write_tracks
+from orientrack.io_formats import ParseError, write_tracks
 from orientrack.metrics import id_switches, idf1
 from orientrack.synth import SynthConfig, generate
 from orientrack.tracker import (
@@ -234,3 +234,35 @@ class TestConfigParsing:
             TrackerConfig(mode="nope")
         with pytest.raises(ValueError):
             TrackerConfig(q=-1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nan_box_is_a_parse_error(self, bad):
+        text = det_lines([(1, 100.0, 100.0, 40.0, 80.0)]) + f"2,-1,100,100,{bad},80,1,-1,-1,-1\n"
+        with pytest.raises(ParseError) as exc:
+            run_sequence(TrackerConfig(mode="pos_only"), text)
+        assert exc.value.line == 2
+
+
+class TestConfigCoercion:
+    def test_every_field_is_a_key(self):
+        mapping = {
+            "bins": "3", "smax": "0.5", "particles": "4", "mode": "app_only",
+            "gallery": "full", "q": "2", "r": "5", "d0_pos": "3", "d0_app": "1",
+            "confirm_hits": "3", "max_age": "7", "seed": "11",
+        }
+        config = TrackerConfig.from_mapping(mapping)
+        assert config == TrackerConfig(
+            bins=3, smax=0.5, particles=4, mode="app_only", gallery="full", q=2.0,
+            r=5.0, d0_pos=3.0, d0_app=1.0, confirm_hits=3, max_age=7, seed=11,
+        )
+        assert type(config.q) is float and type(config.bins) is int
+
+    def test_unknown_key_message(self):
+        with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+            TrackerConfig.from_mapping({"bogus": "1"})
+
+    def test_integer_field_rejects_fraction(self):
+        with pytest.raises(ValueError):
+            TrackerConfig.from_mapping({"bins": "2.5"})
