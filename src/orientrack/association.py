@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .filtering import TrackState, mahalanobis
+# ``mahalanobis`` is the one-pair form, kept importable from here for callers
+# (and perfbench's tracer) that look it up on this module.
+from .filtering import TrackState, mahalanobis, squared_mahalanobis  # noqa: F401
 from .gallery import Gallery
 
 # 95% quantile of chi-square with 4 degrees of freedom, applied to squared
@@ -49,15 +51,16 @@ def position_likelihood(
 ) -> np.ndarray:
     """Softmin of Mahalanobis distances, gated, with a constant NEW_TRACK floor.
 
-    Returns an (n_detections, n_tracks + 1) row-stochastic matrix.
+    All detections x tracks squared distances come from one batched solve
+    (``filtering.squared_mahalanobis``); a pair whose squared distance exceeds
+    ``gate`` gets 0, any other pair ``exp(-d)``, and the NEW_TRACK column
+    ``exp(-d0)``.  Returns an (n_detections, n_tracks + 1) row-stochastic
+    matrix.
     """
-    n_det, n_trk = len(measurements), len(tracks)
-    matrix = np.zeros((n_det, n_trk + 1))
-    for i, z in enumerate(measurements):
-        for j, track in enumerate(tracks):
-            d = mahalanobis(track, z, r)
-            matrix[i, j] = 0.0 if d * d > gate else np.exp(-d)
-        matrix[i, n_trk] = np.exp(-d0)
+    squared = squared_mahalanobis(tracks, measurements, r)
+    matrix = np.empty((len(measurements), len(tracks) + 1))
+    matrix[:, :-1] = np.where(squared > gate, 0.0, np.exp(-np.sqrt(squared)))
+    matrix[:, -1] = np.exp(-d0)
     return _normalize_rows(matrix)
 
 
@@ -139,28 +142,38 @@ def rbpf_step(
     Weights are multiplied by the sampled probabilities, renormalized, and
     systematically resampled when the effective sample size drops below P/2.
     The consensus assignment is the highest-weight particle's assignment.
+
+    Draw contract: one uniform per (particle, detection), drawn up front as
+    ``rng.random((P, n_detections))``, i.e. particle-major.  Each row is
+    sampled with ``Generator.choice``'s arithmetic (``cdf = cumsum(p / total)``,
+    ``cdf /= cdf[-1]``, column = count of ``cdf <= u``), so a particle picks
+    the column that a ``rng.choice`` call per row would have picked from the
+    same stream.  A row with no mass left (possible only when its NEW_TRACK
+    entry is 0) takes NEW_TRACK and still uses up its uniform.  Raises
+    ``ValueError`` if ``matrix`` has a non-finite or negative entry.
     """
+    if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
+        raise ValueError("association matrix must be finite and non-negative")
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1
     particles = len(ps.weights)
-    assignments = np.full((particles, n_det), new_col, dtype=np.int64)
+    rows = np.arange(particles)
+    assignments = np.empty((particles, n_det), dtype=np.int64)
     weights = ps.weights.copy()
+    uniforms = rng.random((particles, n_det))
+    taken = np.zeros((particles, n_cols), dtype=bool)
 
-    for p in range(particles):
-        taken: set[int] = set()
-        for i in range(n_det):
-            probs = matrix[i].copy()
-            for col in taken:
-                probs[col] = 0.0
-            total = probs.sum()
-            if total <= 0.0:
-                col = new_col
-            else:
-                col = int(rng.choice(n_cols, p=probs / total))
-            assignments[p, i] = col
-            weights[p] *= matrix[i, col]
-            if col != new_col:
-                taken.add(col)
+    for i in range(n_det):
+        probs = np.where(taken, 0.0, matrix[i])
+        total = probs.sum(axis=1)
+        empty = total <= 0.0
+        cdf = np.cumsum(probs / np.where(empty, 1.0, total)[:, None], axis=1)
+        cdf /= np.where(empty, 1.0, cdf[:, -1])[:, None]
+        cols = np.count_nonzero(cdf <= uniforms[:, i, None], axis=1)
+        cols[empty] = new_col
+        assignments[:, i] = cols
+        weights *= matrix[i, cols]
+        taken[rows, cols] = cols != new_col
 
     total = weights.sum()
     if total <= 0.0:

@@ -8,6 +8,7 @@ Kalman filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,13 +53,14 @@ def predict(state: TrackState, q: float = 1.0) -> TrackState:
     return TrackState(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
-def _innovation_cov(state: TrackState, r: float) -> np.ndarray:
-    return MEAS_MATRIX @ state.cov @ MEAS_MATRIX.T + r * np.eye(MEAS_DIM)
+def _innovation_cov(cov: np.ndarray, r: float) -> np.ndarray:
+    """Innovation covariance of one (6, 6) state covariance or a (T, 6, 6) stack."""
+    return MEAS_MATRIX @ cov @ MEAS_MATRIX.T + r * np.eye(MEAS_DIM)
 
 
 def update(state: TrackState, z: np.ndarray, r: float = 10.0) -> TrackState:
     """Kalman measurement update; Joseph form keeps the covariance PSD."""
-    S = _innovation_cov(state, r)
+    S = _innovation_cov(state.cov, r)
     K = np.linalg.solve(S.T, (state.cov @ MEAS_MATRIX.T).T).T
     innovation = z - MEAS_MATRIX @ state.mean
     mean = state.mean + K @ innovation
@@ -67,8 +69,26 @@ def update(state: TrackState, z: np.ndarray, r: float = 10.0) -> TrackState:
     return TrackState(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
+def squared_mahalanobis(
+    states: Sequence[TrackState], measurements: Sequence[np.ndarray], r: float = 10.0
+) -> np.ndarray:
+    """Squared innovation-covariance distances of every measurement to every state.
+
+    Returns an (n_measurements, n_states) matrix from one batched solve: the
+    states' predicted measurements are stacked into (T, 4), their innovation
+    covariances into (T, 4, 4), and each covariance is solved against all
+    measurements' innovations at once.
+    """
+    z = np.asarray(measurements, dtype=float).reshape(-1, MEAS_DIM)
+    if not states:
+        return np.zeros((len(z), 0))
+    means = np.stack([s.mean for s in states]) @ MEAS_MATRIX.T
+    S = _innovation_cov(np.stack([s.cov for s in states]), r)
+    innovations = z[None, :, :] - means[:, None, :]  # (T, N, 4)
+    solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))  # (T, 4, N)
+    return np.einsum("tnk,tkn->nt", innovations, solved)
+
+
 def mahalanobis(state: TrackState, z: np.ndarray, r: float = 10.0) -> float:
     """Innovation-covariance-weighted distance between prediction and measurement."""
-    S = _innovation_cov(state, r)
-    innovation = z - MEAS_MATRIX @ state.mean
-    return float(np.sqrt(innovation @ np.linalg.solve(S, innovation)))
+    return float(np.sqrt(squared_mahalanobis([state], [z], r)[0, 0]))

@@ -9,6 +9,7 @@ per-particle filter banks are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +65,16 @@ class TrackerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gallery not in STRATEGIES:
             raise ValueError(f"unknown gallery strategy {self.gallery!r}")
-        for name in ("smax", "q", "r", "confirm_hits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("smax", "q", "r", "d0_pos", "d0_app"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.confirm_hits <= 0:
+            raise ValueError("confirm_hits must be positive")
         if self.max_age < 0:
             raise ValueError("max_age must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrackerConfig":

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orientrack.association import (
+    CHI2_GATE,
     ParticleSet,
     appearance_likelihood,
     combine,
+    effective_sample_size,
     position_likelihood,
     rbpf_step,
     systematic_resample,
 )
-from orientrack.filtering import TrackState, initial_state
+from orientrack.filtering import MEAS_MATRIX, TrackState, initial_state
 from orientrack.gallery import Gallery
 
 
@@ -47,6 +51,15 @@ class TestPositionLikelihood:
             r=10.0, d0=4.0,
         )
         np.testing.assert_allclose(matrix[0], [0.0, 1.0])
+
+    def test_gate_applies_to_squared_distance(self):
+        # r = 1 and a zero state covariance make S = I, so d^2 = dx^2.
+        track = TrackState(mean=np.array([0.0, 0.0, 40.0, 80.0, 0.0, 0.0]), cov=np.zeros((6, 6)))
+        inside, outside = np.sqrt(CHI2_GATE * (1 - 1e-9)), np.sqrt(CHI2_GATE * (1 + 1e-9))
+        dets = [np.array([dx, 0.0, 40.0, 80.0]) for dx in (inside, outside)]
+        matrix = position_likelihood([track], dets, r=1.0, d0=4.0)
+        assert matrix[0, 0] > 0.0
+        assert matrix[1, 0] == 0.0
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -124,14 +137,16 @@ class TestRbpfStep:
         assert np.all(ps.assignments == [0, 1])
 
     def test_single_particle_argmax_is_greedy(self):
-        class ArgmaxRng:
-            def choice(self, n, p):
-                return int(np.argmax(p))
+        class FirstColumnRng:
+            # u = 0 picks the first column with mass that is not taken.
+            def random(self, shape):
+                return np.zeros(shape)
 
         matrix = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1]])
         ps = ParticleSet.initial(1)
-        ps2, consensus = rbpf_step(ps, matrix, ArgmaxRng())
-        # Greedy: det 0 takes track 0; det 1 must take track 1.
+        ps2, consensus = rbpf_step(ps, matrix, FirstColumnRng())
+        # Greedy: det 0 takes track 0; det 1 must take track 1 (a broken
+        # taken-column mask would give [0, 0]).
         assert list(consensus) == [0, 1]
 
     def test_one_to_one_within_particles(self):
@@ -181,3 +196,135 @@ class TestRbpfStep:
         fractions = counts / counts.sum()
         assert fractions[0] == pytest.approx(0.3, abs=0.02)
         assert fractions[1] == pytest.approx(0.7, abs=0.02)
+
+
+def reference_squared_mahalanobis(state, z, r):
+    """The one-pair innovation-covariance distance, squared."""
+    S = MEAS_MATRIX @ state.cov @ MEAS_MATRIX.T + r * np.eye(4)
+    innovation = z - MEAS_MATRIX @ state.mean
+    return float(innovation @ np.linalg.solve(S, innovation))
+
+
+def reference_position_likelihood(tracks, measurements, r, d0, gate=CHI2_GATE):
+    """Per-pair loop over the one-pair distance, then per-row normalisation."""
+    matrix = np.zeros((len(measurements), len(tracks) + 1))
+    for i, z in enumerate(measurements):
+        for j, track in enumerate(tracks):
+            d = np.sqrt(reference_squared_mahalanobis(track, z, r))
+            matrix[i, j] = 0.0 if d * d > gate else np.exp(-d)
+        matrix[i, -1] = np.exp(-d0)
+        matrix[i] /= matrix[i].sum()
+    return matrix
+
+
+def reference_rbpf_step(ps, matrix, rng):
+    """One ``rng.choice`` call per (particle, detection), particle-major."""
+    n_det, n_cols = matrix.shape
+    new_col = n_cols - 1
+    particles = len(ps.weights)
+    assignments = np.full((particles, n_det), new_col, dtype=np.int64)
+    weights = ps.weights.copy()
+    for p in range(particles):
+        taken: set[int] = set()
+        for i in range(n_det):
+            probs = matrix[i].copy()
+            for col in taken:
+                probs[col] = 0.0
+            total = probs.sum()
+            if total <= 0.0:
+                col = new_col
+            else:
+                col = int(rng.choice(n_cols, p=probs / total))
+            assignments[p, i] = col
+            weights[p] *= matrix[i, col]
+            if col != new_col:
+                taken.add(col)
+    total = weights.sum()
+    weights = np.full(particles, 1.0 / particles) if total <= 0.0 else weights / total
+    consensus = assignments[int(np.argmax(weights))].copy()
+    if effective_sample_size(weights) < particles / 2.0:
+        assignments = assignments[systematic_resample(weights, rng)]
+        weights = np.full(particles, 1.0 / particles)
+    return ParticleSet(assignments=assignments, weights=weights), consensus
+
+
+def random_tracks(rng, count, spread):
+    """Tracks with full (correlated) covariances, as after a few KF cycles."""
+    tracks = []
+    for _ in range(count):
+        mean = np.concatenate([rng.uniform(0, spread, 2), rng.uniform(10, 100, 2),
+                               rng.normal(0, 2, 2)])
+        basis = rng.normal(0, rng.uniform(0.1, 5.0), (6, 6))
+        tracks.append(TrackState(mean=mean, cov=basis @ basis.T + 0.5 * np.eye(6)))
+    return tracks
+
+
+class TestBatchedMatchesReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trk=st.integers(0, 6),
+        n_det=st.integers(0, 6),
+        spread=st.sampled_from([5.0, 50.0, 500.0]),
+        r=st.floats(0.5, 50.0),
+        d0=st.floats(0.5, 10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_position_likelihood_equals_pair_loop(self, seed, n_trk, n_det, spread, r, d0):
+        rng = np.random.default_rng(seed)
+        tracks = random_tracks(rng, n_trk, spread)
+        dets = [np.concatenate([rng.uniform(0, spread, 2), rng.uniform(10, 100, 2)])
+                for _ in range(n_det)]
+        squared = np.array([[reference_squared_mahalanobis(t, z, r) for t in tracks]
+                            for z in dets])
+        # Away from the gate a last-digit difference cannot flip a pair.
+        assume(not np.any(np.abs(squared - CHI2_GATE) < 1e-9))
+        expected = reference_position_likelihood(tracks, dets, r, d0)
+        matrix = position_likelihood(tracks, dets, r, d0)
+        assert matrix.shape == (n_det, n_trk + 1)
+        np.testing.assert_array_equal(matrix == 0.0, expected == 0.0)
+        np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0.0)
+
+    @given(
+        data=st.data(),
+        particles=st.integers(1, 8),
+        # Up to 13 columns: numpy sums rows of 9 or more in blocks of 8.
+        n_trk=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rbpf_step_equals_choice_loop(self, data, particles, n_trk, seed, frames):
+        mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        ps = expected_ps = ParticleSet.initial(particles)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(frames):
+            n_det = data.draw(st.integers(0, 6))
+            matrix = data.draw(arrays(np.float64, (n_det, n_trk + 1), elements=mass))
+            # NEW_TRACK keeps mass, as it does in every normalized row.
+            matrix[:, -1] = data.draw(arrays(np.float64, n_det, elements=st.floats(1e-3, 1.0)))
+            ps, consensus = rbpf_step(ps, matrix, rng)
+            expected_ps, expected = reference_rbpf_step(expected_ps, matrix, reference_rng)
+            np.testing.assert_array_equal(ps.assignments, expected_ps.assignments)
+            np.testing.assert_array_equal(ps.weights, expected_ps.weights)
+            np.testing.assert_array_equal(consensus, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestRbpfDrawContract:
+    def test_one_uniform_per_particle_and_detection(self):
+        # Det 1 has mass only on track 0, which det 0 took: that row takes
+        # NEW_TRACK at zero weight and still uses up its uniform.
+        matrix = np.array([[1.0, 0.0], [1.0, 0.0]])
+        rng, mirror = np.random.default_rng(5), np.random.default_rng(5)
+        ps, consensus = rbpf_step(ParticleSet.initial(3), matrix, rng)
+        mirror.random((3, 2))
+        assert np.all(ps.assignments == [0, 1])
+        assert list(consensus) == [0, 1]
+        assert rng.bit_generator.state == mirror.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_non_finite_or_negative_matrix(self, bad):
+        matrix = np.array([[0.5, 0.5], [0.2, 0.8]])
+        matrix[1, 0] = bad
+        with pytest.raises(ValueError):
+            rbpf_step(ParticleSet.initial(4), matrix, np.random.default_rng(0))

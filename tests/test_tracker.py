@@ -236,6 +236,30 @@ class TestConfigParsing:
             TrackerConfig(q=-1.0)
 
 
+class TestConfigRejectsNonFinite:
+    @pytest.mark.parametrize("name", ["smax", "q", "r", "d0_pos", "d0_app"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            TrackerConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["d0_pos", "d0_app"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_floor_distance(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            TrackerConfig(**{name: bad})
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrackerConfig(seed=-1)
+
+    @pytest.mark.parametrize("line", ["q=nan", "r=nan", "d0_pos=nan", "d0_app=inf", "seed=-3"])
+    def test_config_text_fails_before_tracking(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=key):
+            config_from_text(f"{line}\nmode=pos_only\n")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nan_box_is_a_parse_error(self, bad):
