@@ -43,22 +43,23 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def position_likelihood(
-    tracks: Sequence[TrackState],
-    measurements: Sequence[np.ndarray],
+    tracks: TrackState,
+    measurements: np.ndarray,
     r: float = 10.0,
     d0: float = DEFAULT_D0_POS,
     gate: float = CHI2_GATE,
 ) -> np.ndarray:
     """Softmin of Mahalanobis distances, gated, with a constant NEW_TRACK floor.
 
-    All detections x tracks squared distances come from one batched solve
+    ``tracks`` is the stacked state of the live tracks.  All detections x
+    tracks squared distances come from one batched solve
     (``filtering.squared_mahalanobis``); a pair whose squared distance exceeds
     ``gate`` gets 0, any other pair ``exp(-d)``, and the NEW_TRACK column
     ``exp(-d0)``.  Returns an (n_detections, n_tracks + 1) row-stochastic
     matrix.
     """
     squared = squared_mahalanobis(tracks, measurements, r)
-    matrix = np.empty((len(measurements), len(tracks) + 1))
+    matrix = np.empty((squared.shape[0], squared.shape[1] + 1))
     matrix[:, :-1] = np.where(squared > gate, 0.0, np.exp(-np.sqrt(squared)))
     matrix[:, -1] = np.exp(-d0)
     return _normalize_rows(matrix)

@@ -11,9 +11,8 @@ import sys
 from pathlib import Path
 
 from . import metrics, synth, tracker
-from .io_formats import group_by_frame, parse_features, parse_keypoints, parse_mot
+from .io_formats import parse_features, parse_keypoints, parse_mot
 from .io_formats import ParseError, ValidationError, write_tracks
-from .pose_orientation import orientation_from_keypoints
 
 _MODE_STRATEGIES = {"full": "full", "avg": "averaged"}
 
@@ -38,36 +37,6 @@ def _parse_reid_mode(raw: str) -> tuple[str, int]:
     raise ValueError(f"unknown re-ID mode {raw!r}")
 
 
-def _labeled_features(
-    features_path: str, mot_path: str, keypoints_path: str | None
-) -> list[metrics.LabeledFeature]:
-    """Join features with MOT ids (and optionally keypoint orientations)."""
-    table = parse_features(_read(features_path))
-    by_frame = group_by_frame(parse_mot(_read(mot_path)))
-    s2t_by_key: dict[tuple[int, int], float] = {}
-    if keypoints_path is not None:
-        for record in parse_keypoints(_read(keypoints_path)):
-            orientation = orientation_from_keypoints(record.keypoints, bins=1)
-            if orientation.valid:
-                s2t_by_key[(record.frame, record.det_index)] = orientation.s2t
-
-    items: list[metrics.LabeledFeature] = []
-    for (frame, det_index), vector in sorted(table.entries.items()):
-        rows = by_frame.get(frame, [])
-        if det_index >= len(rows):
-            raise ValueError(
-                f"no MOT row for frame {frame}, det_index {det_index}"
-            )
-        items.append(
-            metrics.LabeledFeature(
-                person=rows[det_index].id,
-                vector=vector,
-                s2t=s2t_by_key.get((frame, det_index)),
-            )
-        )
-    return items
-
-
 def _cmd_track(args: argparse.Namespace) -> int:
     config = tracker.config_from_text(_read(args.config))
     records = tracker.run_sequence(
@@ -82,7 +51,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_eval_reid(args: argparse.Namespace) -> int:
     strategy, bins = _parse_reid_mode(args.mode)
-    items = _labeled_features(args.features, args.ids_from_mot, args.keypoints)
+    items = metrics.label_features(
+        parse_features(_read(args.features)),
+        parse_mot(_read(args.ids_from_mot)),
+        parse_keypoints(_read(args.keypoints)) if args.keypoints is not None else None,
+    )
     if strategy == "orient" and args.keypoints is None:
         raise ValueError("orient mode requires --keypoints")
 

@@ -8,7 +8,6 @@ Kalman filter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +29,11 @@ INITIAL_COV_DIAG = np.array([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
 
 @dataclass
 class TrackState:
-    mean: np.ndarray  # (6,)
-    cov: np.ndarray  # (6, 6) symmetric PSD
+    """One track, (6,) mean and (6, 6) covariance, or a stack of T tracks,
+    (T, 6) means and (T, 6, 6) covariances; every function here takes either."""
+
+    mean: np.ndarray
+    cov: np.ndarray  # symmetric PSD
 
 
 def box_to_measurement(left: float, top: float, width: float, height: float) -> np.ndarray:
@@ -40,17 +42,19 @@ def box_to_measurement(left: float, top: float, width: float, height: float) -> 
 
 
 def initial_state(z: np.ndarray) -> TrackState:
-    """Track state from a first measurement: zero velocity, wide velocity prior."""
-    mean = np.zeros(STATE_DIM)
-    mean[:4] = z
-    return TrackState(mean=mean, cov=np.diag(INITIAL_COV_DIAG.copy()))
+    """State from a (4,) or (T, 4) first measurement: zero velocity, wide velocity prior."""
+    z = np.asarray(z, dtype=float)
+    mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
+    mean[..., :MEAS_DIM] = z
+    cov = np.broadcast_to(np.diag(INITIAL_COV_DIAG), z.shape[:-1] + (STATE_DIM, STATE_DIM))
+    return TrackState(mean=mean, cov=cov.copy())
 
 
 def predict(state: TrackState, q: float = 1.0) -> TrackState:
     """One-step prediction under the dt=1 constant-velocity model."""
-    mean = TRANSITION @ state.mean
+    mean = state.mean @ TRANSITION.T
     cov = TRANSITION @ state.cov @ TRANSITION.T + q * np.diag(PROCESS_WEIGHTS)
-    return TrackState(mean=mean, cov=(cov + cov.T) / 2.0)
+    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
 
 
 def _innovation_cov(cov: np.ndarray, r: float) -> np.ndarray:
@@ -59,31 +63,29 @@ def _innovation_cov(cov: np.ndarray, r: float) -> np.ndarray:
 
 
 def update(state: TrackState, z: np.ndarray, r: float = 10.0) -> TrackState:
-    """Kalman measurement update; Joseph form keeps the covariance PSD."""
+    """Kalman update by one (4,) measurement per track; Joseph form keeps the covariance PSD."""
     S = _innovation_cov(state.cov, r)
-    K = np.linalg.solve(S.T, (state.cov @ MEAS_MATRIX.T).T).T
-    innovation = z - MEAS_MATRIX @ state.mean
-    mean = state.mean + K @ innovation
+    PHt = state.cov @ MEAS_MATRIX.T
+    K = np.linalg.solve(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
+    innovation = z - state.mean @ MEAS_MATRIX.T
+    mean = state.mean + (K @ innovation[..., None])[..., 0]
     IKH = np.eye(STATE_DIM) - K @ MEAS_MATRIX
-    cov = IKH @ state.cov @ IKH.T + r * (K @ K.T)
-    return TrackState(mean=mean, cov=(cov + cov.T) / 2.0)
+    cov = IKH @ state.cov @ IKH.swapaxes(-1, -2) + r * (K @ K.swapaxes(-1, -2))
+    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
 
 
 def squared_mahalanobis(
-    states: Sequence[TrackState], measurements: Sequence[np.ndarray], r: float = 10.0
+    states: TrackState, measurements: np.ndarray, r: float = 10.0
 ) -> np.ndarray:
     """Squared innovation-covariance distances of every measurement to every state.
 
-    Returns an (n_measurements, n_states) matrix from one batched solve: the
-    states' predicted measurements are stacked into (T, 4), their innovation
-    covariances into (T, 4, 4), and each covariance is solved against all
-    measurements' innovations at once.
+    ``states`` is one track or a stack of T.  Returns an (n_measurements, T)
+    matrix from one batched solve: each track's innovation covariance is
+    solved against all measurements' innovations at once.
     """
     z = np.asarray(measurements, dtype=float).reshape(-1, MEAS_DIM)
-    if not states:
-        return np.zeros((len(z), 0))
-    means = np.stack([s.mean for s in states]) @ MEAS_MATRIX.T
-    S = _innovation_cov(np.stack([s.cov for s in states]), r)
+    means = states.mean.reshape(-1, STATE_DIM) @ MEAS_MATRIX.T
+    S = _innovation_cov(states.cov.reshape(-1, STATE_DIM, STATE_DIM), r)
     innovations = z[None, :, :] - means[:, None, :]  # (T, N, 4)
     solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))  # (T, 4, N)
     return np.einsum("tnk,tkn->nt", innovations, solved)
@@ -91,4 +93,4 @@ def squared_mahalanobis(
 
 def mahalanobis(state: TrackState, z: np.ndarray, r: float = 10.0) -> float:
     """Innovation-covariance-weighted distance between prediction and measurement."""
-    return float(np.sqrt(squared_mahalanobis([state], [z], r)[0, 0]))
+    return float(np.sqrt(squared_mahalanobis(state, z, r)[0, 0]))

@@ -189,10 +189,11 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             keypoints = obj["keypoints"]
         except (KeyError, TypeError):
             raise ParseError(line_no, "expected frame/det_index/keypoints object") from None
-        if not isinstance(frame, int) or frame < 1:
+        # JSON true/false load as bool, a subclass of int: test the exact type.
+        if type(frame) is not int or frame < 1:
             raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
-        if not isinstance(det_index, int) or det_index < 0:
-            raise ParseError(line_no, f"det_index must be non-negative, got {det_index!r}")
+        if type(det_index) is not int or det_index < 0:
+            raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
         try:
             array = np.array(keypoints, dtype=np.float64)
         except (TypeError, ValueError):
@@ -228,12 +229,22 @@ def parse_config(text: str) -> dict[str, str]:
     return values
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes")
+    try:
+        return _BOOLS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)}") from None
 
 
 def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
-    """Build dataclass ``cls`` from string values, coercing each by its field type."""
+    """Build dataclass ``cls`` from string values, coercing each by its field type.
+
+    Booleans accept 1/0/true/false/yes/no in any case.  A value that does not
+    coerce raises ``ValueError`` naming its key.
+    """
     hints = get_type_hints(cls)
     coercions = {
         f.name: _parse_bool if hints[f.name] is bool else hints[f.name] for f in fields(cls)
@@ -242,7 +253,10 @@ def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
     for key, raw in mapping.items():
         if key not in coercions:
             raise ValueError(f"unknown {kind} key {key!r}")
-        kwargs[key] = coercions[key](raw)
+        try:
+            kwargs[key] = coercions[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{kind} key {key!r}: bad value {raw!r} ({exc})") from None
     return cls(**kwargs)
 
 

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .gallery import Gallery
-from .io_formats import DetectionRecord
-from .pose_orientation import fallback_bin, orientation_bin
+from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, group_by_frame
+from .pose_orientation import fallback_bin, orientation_bin, orientation_from_keypoints
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -26,6 +26,35 @@ class LabeledFeature:
     person: int
     vector: np.ndarray
     s2t: float | None = None
+
+
+def label_features(
+    table: FeatureTable,
+    mot: list[DetectionRecord],
+    keypoints: list[KeypointRecord] | None = None,
+) -> list[LabeledFeature]:
+    """Label each feature row with the id of its MOT row and, given keypoints, its S2T.
+
+    Rows come out in (frame, det_index) order; det_index is the position of
+    the detection within its frame in ``mot``.  A detection without a valid
+    orientation gets ``s2t=None``.  Raises ``ValueError`` for a feature row
+    without a MOT row.
+    """
+    s2t_by_key: dict[tuple[int, int], float] = {}
+    for record in keypoints or []:
+        orientation = orientation_from_keypoints(record.keypoints, bins=1)
+        if orientation.valid:
+            s2t_by_key[(record.frame, record.det_index)] = orientation.s2t
+    by_frame = group_by_frame(mot)
+    items: list[LabeledFeature] = []
+    for (frame, det_index), vector in sorted(table.entries.items()):
+        rows = by_frame.get(frame, [])
+        if det_index >= len(rows):
+            raise ValueError(f"no MOT row for frame {frame}, det_index {det_index}")
+        items.append(LabeledFeature(
+            person=rows[det_index].id, vector=vector, s2t=s2t_by_key.get((frame, det_index))
+        ))
+    return items
 
 
 @dataclass

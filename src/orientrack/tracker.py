@@ -1,16 +1,23 @@
 """Per-frame tracking loop: predict, associate, update, maintain galleries.
 
-The tracker owns a set of live tracks, a particle set whose assignments are
-re-sampled from scratch every frame (only weights carry over; ROADMAP.md
-item 2), and an appearance gallery keyed by track id.  Filters and the
-gallery are mutated from the consensus (highest-weight) particle only;
-per-particle filter banks are out of scope.
+The live tracks are arrays, one row per track in birth order: ``tracks``
+holds the ids, one stacked ``filtering.TrackState`` the Kalman state, and
+two count vectors the matches (hits) and the unmatched frames since the
+last match (misses).  Each frame makes one batched predict and one batched
+update of the matched rows.  A track is emitted once it has
+``confirm_hits`` hits and dropped after more than ``max_age`` misses.
+
+Association runs a particle set whose assignments are re-sampled from
+scratch every frame (only weights carry over; ROADMAP.md item 2).  Filters
+and the appearance gallery, keyed by track id, are mutated from the
+consensus (highest-weight) particle only; per-particle filter banks are out
+of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +32,6 @@ from .io_formats import (
     parse_config,
 )
 from .pose_orientation import fallback_bin, orientation_from_keypoints
-
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid
 
@@ -81,27 +85,17 @@ class TrackerConfig:
         return config_from_mapping(cls, mapping)
 
 
-@dataclass
-class Track:
-    track_id: int
-    state: filtering.TrackState
-    hits: int = 1
-    misses: int = 0
-    status: str = TENTATIVE
-
-
-@dataclass
 class Tracker:
-    config: TrackerConfig
-    tracks: list[Track] = field(default_factory=list)
-    _next_id: int = 1
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.config.seed)
-        self._particles = association.ParticleSet.initial(self.config.particles)
-        self._gallery = Gallery(
-            self.config.gallery, bins=self.config.bins, seed=self.config.seed
-        )
+    def __init__(self, config: TrackerConfig) -> None:
+        self.config = config
+        self.tracks = np.zeros(0, dtype=np.int64)
+        self._state = filtering.initial_state(np.zeros((0, filtering.MEAS_DIM)))
+        self._hits = np.zeros(0, dtype=np.int64)
+        self._misses = np.zeros(0, dtype=np.int64)
+        self._next_id = 1
+        self._rng = np.random.default_rng(config.seed)
+        self._particles = association.ParticleSet.initial(config.particles)
+        self._gallery = Gallery(config.gallery, bins=config.bins, seed=config.seed)
 
     @property
     def gallery(self) -> Gallery:
@@ -142,31 +136,27 @@ class Tracker:
     ) -> list[DetectionRecord]:
         """Advance the tracker by one frame; returns emitted confirmed records."""
         cfg = self.config
-
-        for track in self.tracks:
-            track.state = filtering.predict(track.state, cfg.q)
+        self._state = filtering.predict(self._state, cfg.q)
+        self._misses += 1
 
         if not detections:
-            self._age_unmatched(set())
+            self._retire_and_spawn(np.zeros((0, filtering.MEAS_DIM)))
             return []
 
-        measurements = [
-            filtering.box_to_measurement(*d.box) for d in detections
-        ]
+        measurements = np.array([filtering.box_to_measurement(*d.box) for d in detections])
         feats: list[np.ndarray] | None = None
         if self._uses_appearance():
             feats = self._frame_features(frame, len(detections), features)
 
-        track_states = [t.state for t in self.tracks]
         pos = app = None
         if cfg.mode != association.APP_ONLY:
             pos = association.position_likelihood(
-                track_states, measurements, cfg.r, cfg.d0_pos
+                self._state, measurements, cfg.r, cfg.d0_pos
             )
         if cfg.mode != association.POS_ONLY:
             assert feats is not None
             app = association.appearance_likelihood(
-                self._gallery, feats, [t.track_id for t in self.tracks], cfg.d0_app
+                self._gallery, feats, self.tracks, cfg.d0_app
             )
         matrix = association.combine(pos, app, cfg.mode)
 
@@ -174,49 +164,41 @@ class Tracker:
             self._particles, matrix, self._rng
         )
 
-        new_col = len(self.tracks)
-        updated: set[int] = set()
-        emitted: list[DetectionRecord] = []
-        det_tracks: list[Track] = []
-        for i, col in enumerate(consensus):
-            if col == new_col:
-                track = Track(
-                    track_id=self._next_id,
-                    state=filtering.initial_state(measurements[i]),
-                )
-                self._next_id += 1
-                self.tracks.append(track)
-            else:
-                track = self.tracks[col]
-                track.state = filtering.update(track.state, measurements[i], cfg.r)
-                track.hits += 1
-                track.misses = 0
-                updated.add(col)
-            if track.status == TENTATIVE and track.hits >= cfg.confirm_hits:
-                track.status = CONFIRMED
-            det_tracks.append(track)
+        # The consensus takes each real column at most once, so the matched
+        # rows are distinct and update in place.
+        matched = consensus < len(self.tracks)
+        rows = consensus[matched]
+        post = filtering.update(
+            filtering.TrackState(self._state.mean[rows], self._state.cov[rows]),
+            measurements[matched], cfg.r,
+        )
+        self._state.mean[rows] = post.mean
+        self._state.cov[rows] = post.cov
+        self._hits[rows] += 1
+        self._misses[rows] = 0
+        emitted = [
+            self._emit(frame, int(self.tracks[row]), self._state.mean[row])
+            for row in rows[self._hits[rows] >= cfg.confirm_hits]
+        ]
 
+        det_ids = np.empty(len(detections), dtype=np.int64)
+        det_ids[matched] = self.tracks[rows]
+        det_ids[~matched] = self._retire_and_spawn(measurements[~matched])
         if self._uses_appearance():
             assert feats is not None
-            for i, track in enumerate(det_tracks):
+            for i, track_id in enumerate(det_ids.tolist()):
                 self._gallery.insert(
-                    track.track_id, feats[i], self._detection_bin(frame, i, keypoints)
+                    track_id, feats[i], self._detection_bin(frame, i, keypoints)
                 )
-
-        for i, track in enumerate(det_tracks):
-            if track.status == CONFIRMED and consensus[i] != new_col:
-                emitted.append(self._emit(frame, track))
-
-        self._age_unmatched(updated, spawned=len(self.tracks) - new_col)
         return emitted
 
-    def _emit(self, frame: int, track: Track) -> DetectionRecord:
-        cx, cy, w, h = track.state.mean[:4]
+    def _emit(self, frame: int, track_id: int, mean: np.ndarray) -> DetectionRecord:
+        cx, cy, w, h = mean[:4]
         w = max(w, _EMIT_MIN_SIZE)
         h = max(h, _EMIT_MIN_SIZE)
         return DetectionRecord(
             frame=frame,
-            id=track.track_id,
+            id=track_id,
             bb_left=cx - w / 2.0,
             bb_top=cy - h / 2.0,
             bb_width=w,
@@ -224,15 +206,21 @@ class Tracker:
             conf=1.0,
         )
 
-    def _age_unmatched(self, updated: set[int], spawned: int = 0) -> None:
-        survivors = []
-        n_prior = len(self.tracks) - spawned
-        for j, track in enumerate(self.tracks):
-            if j < n_prior and j not in updated:
-                track.misses += 1
-            if track.misses <= self.config.max_age:
-                survivors.append(track)
-        self.tracks = survivors
+    def _retire_and_spawn(self, born: np.ndarray) -> np.ndarray:
+        """Drop rows with more than max_age misses, append a track per (4,) row of
+        ``born``, and return the new ids."""
+        keep = self._misses <= self.config.max_age
+        ids = np.arange(self._next_id, self._next_id + len(born), dtype=np.int64)
+        self._next_id += len(born)
+        fresh = filtering.initial_state(born)
+        self._state = filtering.TrackState(
+            mean=np.concatenate([self._state.mean[keep], fresh.mean]),
+            cov=np.concatenate([self._state.cov[keep], fresh.cov]),
+        )
+        self.tracks = np.concatenate([self.tracks[keep], ids])
+        self._hits = np.concatenate([self._hits[keep], np.ones_like(ids)])
+        self._misses = np.concatenate([self._misses[keep], np.zeros_like(ids)])
+        return ids
 
 
 def run_sequence(

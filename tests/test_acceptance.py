@@ -28,11 +28,11 @@ from orientrack.metrics import (
     build_gallery,
     idf1,
     iou,
+    label_features,
     rank1,
     split_gallery_query,
 )
 from orientrack.pose_orientation import TorsoPoints, s2t_ratio
-from orientrack.pose_orientation import orientation_from_keypoints
 from orientrack.synth import SynthConfig, generate
 from orientrack.tracker import TrackerConfig, run_sequence
 
@@ -56,18 +56,11 @@ def reid_items(seed: int) -> list[LabeledFeature]:
     out = generate(
         SynthConfig(persons=50, frames=40, kappa=0.8, sigma=0.3, seed=seed)
     )
-    table = parse_features(out.features_text)
-    s2t = {}
-    for record in parse_keypoints(out.keypoints_text):
-        orientation = orientation_from_keypoints(record.keypoints, bins=1)
-        if orientation.valid:
-            s2t[(record.frame, record.det_index)] = orientation.s2t
-    return [
-        LabeledFeature(
-            person=det_index + 1, vector=vector, s2t=s2t.get((frame, det_index))
-        )
-        for (frame, det_index), vector in sorted(table.entries.items())
-    ]
+    return label_features(
+        parse_features(out.features_text),
+        parse_mot(out.gt_text),
+        parse_keypoints(out.keypoints_text),
+    )
 
 
 def reid_score(items, strategy: str, bins: int, seed: int) -> float:

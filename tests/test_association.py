@@ -19,6 +19,14 @@ from orientrack.filtering import MEAS_MATRIX, TrackState, initial_state
 from orientrack.gallery import Gallery
 
 
+def stacked(states):
+    """The (T, 6) / (T, 6, 6) TrackState of a list of single-track states."""
+    return TrackState(
+        mean=np.array([s.mean for s in states]).reshape(-1, 6),
+        cov=np.array([s.cov for s in states]).reshape(-1, 6, 6),
+    )
+
+
 def track_at(cx, cy, w=40.0, h=80.0, tight=True):
     state = initial_state(np.array([cx, cy, w, h]))
     if tight:
@@ -30,7 +38,7 @@ class TestPositionLikelihood:
     def test_detection_at_prediction(self):
         # High-precision oracle: row = (1, e^-9) renormalized.
         matrix = position_likelihood(
-            [track_at(100, 100)], [np.array([100.0, 100.0, 40.0, 80.0])],
+            stacked([track_at(100, 100)]), [np.array([100.0, 100.0, 40.0, 80.0])],
             r=10.0, d0=9.0,
         )
         expected = np.array([1.0, math.exp(-9.0)])
@@ -41,13 +49,13 @@ class TestPositionLikelihood:
     def test_symmetric_tracks_get_equal_mass(self):
         tracks = [track_at(90, 100), track_at(110, 100)]
         matrix = position_likelihood(
-            tracks, [np.array([100.0, 100.0, 40.0, 80.0])], r=10.0, d0=50.0
+            stacked(tracks), [np.array([100.0, 100.0, 40.0, 80.0])], r=10.0, d0=50.0
         )
         assert matrix[0, 0] == pytest.approx(matrix[0, 1], abs=1e-9)
 
     def test_gating_fallback_to_new_track(self):
         matrix = position_likelihood(
-            [track_at(0, 0)], [np.array([5000.0, 5000.0, 40.0, 80.0])],
+            stacked([track_at(0, 0)]), [np.array([5000.0, 5000.0, 40.0, 80.0])],
             r=10.0, d0=4.0,
         )
         np.testing.assert_allclose(matrix[0], [0.0, 1.0])
@@ -57,7 +65,7 @@ class TestPositionLikelihood:
         track = TrackState(mean=np.array([0.0, 0.0, 40.0, 80.0, 0.0, 0.0]), cov=np.zeros((6, 6)))
         inside, outside = np.sqrt(CHI2_GATE * (1 - 1e-9)), np.sqrt(CHI2_GATE * (1 + 1e-9))
         dets = [np.array([dx, 0.0, 40.0, 80.0]) for dx in (inside, outside)]
-        matrix = position_likelihood([track], dets, r=1.0, d0=4.0)
+        matrix = position_likelihood(stacked([track]), dets, r=1.0, d0=4.0)
         assert matrix[0, 0] > 0.0
         assert matrix[1, 0] == 0.0
 
@@ -65,7 +73,7 @@ class TestPositionLikelihood:
         rng = np.random.default_rng(0)
         tracks = [track_at(*rng.uniform(0, 500, 2), tight=False) for _ in range(4)]
         dets = [np.concatenate([rng.uniform(0, 500, 2), [40, 80]]) for _ in range(6)]
-        matrix = position_likelihood(tracks, dets)
+        matrix = position_likelihood(stacked(tracks), dets)
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -279,7 +287,7 @@ class TestBatchedMatchesReference:
         # Away from the gate a last-digit difference cannot flip a pair.
         assume(not np.any(np.abs(squared - CHI2_GATE) < 1e-9))
         expected = reference_position_likelihood(tracks, dets, r, d0)
-        matrix = position_likelihood(tracks, dets, r, d0)
+        matrix = position_likelihood(stacked(tracks), dets, r, d0)
         assert matrix.shape == (n_det, n_trk + 1)
         np.testing.assert_array_equal(matrix == 0.0, expected == 0.0)
         np.testing.assert_allclose(matrix, expected, rtol=1e-12, atol=0.0)

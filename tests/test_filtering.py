@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orientrack.filtering import (
     MEAS_MATRIX,
@@ -139,3 +140,36 @@ class TestMeasurementConversion:
     def test_round_trip(self):
         z = box_to_measurement(10.0, 20.0, 30.0, 60.0)
         np.testing.assert_allclose(z, [25.0, 50.0, 30.0, 60.0])
+
+
+class TestStackedMatchesPerRow:
+    """A (T, ...) stack must give, row for row, the bits of T single-track calls."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 8),
+        q=st.floats(0.01, 10.0),
+        r=st.floats(0.01, 50.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_initial_predict_update(self, seed, count, q, r):
+        rng = np.random.default_rng(seed)
+        states = [random_state(rng) for _ in range(count)]
+        z = rng.normal(0, 50, size=(count, 4))
+        stack = TrackState(
+            mean=np.array([s.mean for s in states]).reshape(count, 6),
+            cov=np.array([s.cov for s in states]).reshape(count, 6, 6),
+        )
+        born = initial_state(z)
+        predicted = predict(stack, q)
+        updated = update(predicted, z, r)
+        assert born.mean.shape == predicted.mean.shape == updated.mean.shape == (count, 6)
+        assert born.cov.shape == predicted.cov.shape == updated.cov.shape == (count, 6, 6)
+        for t, state in enumerate(states):
+            one_born = initial_state(z[t])
+            one_predicted = predict(state, q)
+            one_updated = update(one_predicted, z[t], r)
+            for stacked, single in ((born, one_born), (predicted, one_predicted),
+                                    (updated, one_updated)):
+                assert np.array_equal(stacked.mean[t], single.mean)
+                assert np.array_equal(stacked.cov[t], single.cov)

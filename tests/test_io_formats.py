@@ -131,6 +131,18 @@ class TestParseKeypoints:
         with pytest.raises(ParseError):
             parse_keypoints("not json")
 
+    @pytest.mark.parametrize(
+        "frame, det_index, field",
+        [("true", "0", "frame"), ("1", "false", "det_index"), ("1", "true", "det_index")],
+    )
+    def test_json_booleans_rejected(self, frame, det_index, field):
+        kps = str([[0, 0, 0]] * 18)
+        good = '{"frame":1,"det_index":0,"keypoints":' + kps + "}"
+        line = f'{{"frame":{frame},"det_index":{det_index},"keypoints":{kps}}}'
+        with pytest.raises(ParseError, match=field) as exc:
+            parse_keypoints(good + "\n" + line)
+        assert exc.value.line == 2
+
 
 class TestParseConfig:
     def test_basic(self):

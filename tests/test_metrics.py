@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from orientrack.io_formats import DetectionRecord
+from orientrack.io_formats import DetectionRecord, FeatureTable, KeypointRecord
 from orientrack.metrics import (
     LabeledFeature,
     build_gallery,
     id_switches,
     idf1,
     iou,
+    label_features,
     rank1,
     split_gallery_query,
 )
@@ -236,3 +237,29 @@ class TestIdSwitches:
             rec(2, 6, 1.0),  # IoU ~0.82, better but a newcomer
         ]
         assert id_switches(gt, pred) == 0
+
+
+class TestLabelFeatures:
+    def table(self, keys):
+        return FeatureTable(dim=2, entries={k: np.array([float(k[0]), float(k[1])]) for k in keys})
+
+    def test_ids_follow_frame_order_of_mot_rows(self):
+        mot = [rec(2, 7, 0.0), rec(1, 4, 0.0), rec(1, 9, 50.0), rec(2, 3, 50.0)]
+        items = label_features(self.table([(2, 1), (1, 0), (1, 1), (2, 0)]), mot)
+        assert [item.person for item in items] == [4, 9, 7, 3]
+        assert [item.vector.tolist() for item in items] == [[1, 0], [1, 1], [2, 0], [2, 1]]
+        assert all(item.s2t is None for item in items)
+
+    def test_s2t_only_for_valid_orientations(self):
+        valid = np.zeros((18, 3))
+        valid[[2, 5, 8, 11]] = [[10, 0, 1], [0, 0, 1], [10, 20, 1], [0, 20, 1]]
+        keypoints = [KeypointRecord(1, 0, valid), KeypointRecord(1, 1, np.zeros((18, 3)))]
+        items = label_features(
+            self.table([(1, 0), (1, 1)]), [rec(1, 1, 0.0), rec(1, 2, 50.0)], keypoints
+        )
+        assert items[0].s2t == pytest.approx(0.5)
+        assert items[1].s2t is None
+
+    def test_feature_row_without_mot_row(self):
+        with pytest.raises(ValueError, match="no MOT row for frame 1, det_index 1"):
+            label_features(self.table([(1, 0), (1, 1)]), [rec(1, 1, 0.0)])

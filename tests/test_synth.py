@@ -165,6 +165,11 @@ class TestConfigValidation:
     def test_from_mapping_crossing_flag(self, raw, expected):
         assert SynthConfig.from_mapping({"crossing": raw}).crossing is expected
 
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "on", "y"])
+    def test_from_mapping_rejects_unknown_flag(self, raw):
+        with pytest.raises(ValueError, match="'crossing'"):
+            SynthConfig.from_mapping({"crossing": raw})
+
     def test_from_mapping_every_field(self):
         cfg = SynthConfig.from_mapping(
             {"persons": "2", "frames": "3", "width": "100", "height": "50", "dim": "4",

@@ -1,11 +1,27 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orientrack.io_formats import ParseError, write_tracks
+from orientrack import association, filtering
+from orientrack.gallery import Gallery
+from orientrack.io_formats import (
+    DetectionRecord,
+    FeatureTable,
+    ParseError,
+    group_by_frame,
+    parse_features,
+    parse_keypoints,
+    parse_mot,
+    write_tracks,
+)
 from orientrack.metrics import id_switches, idf1
 from orientrack.synth import SynthConfig, generate
+from orientrack.pose_orientation import fallback_bin, orientation_from_keypoints
 from orientrack.tracker import (
     MissingInputError,
+    Tracker,
     TrackerConfig,
     config_from_text,
     run_sequence,
@@ -121,7 +137,7 @@ class TestLifecycle:
             out = tracker.process_frame(
                 frame, by_frame.get(frame, []), features, keypoints
             )
-            live = [t.track_id for t in tracker.tracks]
+            live = tracker.tracks.tolist()
             assert len(live) == len(set(live))
             assert all(r.id >= 1 for r in out)
             fresh = {t for t in live if t not in seen}
@@ -290,3 +306,157 @@ class TestConfigCoercion:
     def test_integer_field_rejects_fraction(self):
         with pytest.raises(ValueError):
             TrackerConfig.from_mapping({"bins": "2.5"})
+
+    @pytest.mark.parametrize(
+        "key, raw", [("bins", "2.0"), ("max_age", "x"), ("q", "abc"), ("seed", "")]
+    )
+    def test_failed_coercion_names_the_key(self, key, raw):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            TrackerConfig.from_mapping({key: raw})
+
+
+@dataclass
+class ReferenceTrack:
+    track_id: int
+    state: filtering.TrackState
+    hits: int = 1
+    misses: int = 0
+    confirmed: bool = False
+
+
+class ReferenceTracker:
+    """One object per track and per-track predict/update loops: the design the
+    array-held tracks replaced, kept as an oracle."""
+
+    def __init__(self, config: TrackerConfig):
+        self.config = config
+        self.tracks: list[ReferenceTrack] = []
+        self.next_id = 1
+        self.rng = np.random.default_rng(config.seed)
+        self.particles = association.ParticleSet.initial(config.particles)
+        self.gallery = Gallery(config.gallery, bins=config.bins, seed=config.seed)
+
+    def detection_bin(self, frame, i, keypoints):
+        if self.config.gallery != "orient":
+            return fallback_bin(self.config.bins)
+        return orientation_from_keypoints(
+            keypoints[(frame, i)].keypoints, self.config.bins, self.config.smax
+        ).bin
+
+    def age(self, updated, spawned=0):
+        prior = len(self.tracks) - spawned
+        for j, track in enumerate(self.tracks):
+            if j < prior and j not in updated:
+                track.misses += 1
+        self.tracks = [t for t in self.tracks if t.misses <= self.config.max_age]
+
+    def process_frame(self, frame, detections, features, keypoints):
+        cfg = self.config
+        for track in self.tracks:
+            track.state = filtering.predict(track.state, cfg.q)
+        if not detections:
+            self.age(set())
+            return []
+        measurements = [filtering.box_to_measurement(*d.box) for d in detections]
+        feats = [features.entries[(frame, i)] for i in range(len(detections))]
+        stack = filtering.TrackState(
+            mean=np.array([t.state.mean for t in self.tracks]).reshape(-1, 6),
+            cov=np.array([t.state.cov for t in self.tracks]).reshape(-1, 6, 6),
+        )
+        pos = app = None
+        if cfg.mode != association.APP_ONLY:
+            pos = association.position_likelihood(stack, measurements, cfg.r, cfg.d0_pos)
+        if cfg.mode != association.POS_ONLY:
+            app = association.appearance_likelihood(
+                self.gallery, feats, [t.track_id for t in self.tracks], cfg.d0_app
+            )
+        matrix = association.combine(pos, app, cfg.mode)
+        self.particles, consensus = association.rbpf_step(self.particles, matrix, self.rng)
+
+        new_col = len(self.tracks)
+        updated = set()
+        det_tracks = []
+        for i, col in enumerate(consensus):
+            if col == new_col:
+                track = ReferenceTrack(self.next_id, filtering.initial_state(measurements[i]))
+                self.next_id += 1
+                self.tracks.append(track)
+            else:
+                track = self.tracks[col]
+                track.state = filtering.update(track.state, measurements[i], cfg.r)
+                track.hits += 1
+                track.misses = 0
+                updated.add(col)
+            track.confirmed = track.confirmed or track.hits >= cfg.confirm_hits
+            det_tracks.append(track)
+        if cfg.mode != association.POS_ONLY:
+            for i, track in enumerate(det_tracks):
+                self.gallery.insert(
+                    track.track_id, feats[i], self.detection_bin(frame, i, keypoints)
+                )
+        emitted = []
+        for i, track in enumerate(det_tracks):
+            if track.confirmed and consensus[i] != new_col:
+                cx, cy, w, h = track.state.mean[:4]
+                w, h = max(w, 1e-3), max(h, 1e-3)
+                emitted.append(DetectionRecord(
+                    frame, track.track_id, cx - w / 2.0, cy - h / 2.0, w, h, 1.0
+                ))
+        self.age(updated, spawned=len(self.tracks) - new_col)
+        return emitted
+
+
+def dropped_frames(data, frames, drop, empty, rng):
+    """Per frame: the kept detections, re-indexed features and keypoints.
+
+    Each detection is dropped with probability ``drop`` and each frame emptied
+    with probability ``empty``; det_index is the position among the kept.
+    """
+    by_frame = group_by_frame(parse_mot(data.det_text))
+    table = parse_features(data.features_text)
+    keypoints = {(k.frame, k.det_index): k for k in parse_keypoints(data.keypoints_text)}
+    entries, kept_keypoints, kept_frames = {}, {}, {}
+    for frame in range(1, frames + 1):
+        rows = by_frame.get(frame, [])
+        keep = [i for i in range(len(rows)) if rng.random() >= drop]
+        if rng.random() < empty:
+            keep = []
+        kept_frames[frame] = [rows[i] for i in keep]
+        for new, old in enumerate(keep):
+            entries[(frame, new)] = table.entries[(frame, old)]
+            kept_keypoints[(frame, new)] = keypoints[(frame, old)]
+    return kept_frames, FeatureTable(dim=table.dim, entries=entries), kept_keypoints
+
+
+class TestArrayTracksMatchReference:
+    @pytest.mark.parametrize("mode", association.MODES)
+    @pytest.mark.parametrize("gallery", ["full", "orient"])
+    @pytest.mark.parametrize("confirm_hits", [1, 3])
+    @pytest.mark.parametrize("max_age", [0, 30])
+    @given(
+        scenario=st.integers(0, 2**16),
+        persons=st.integers(1, 5),
+        crossing=st.booleans(),
+        drop=st.sampled_from([0.0, 0.3, 0.7]),
+        empty=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_same_records_and_live_ids_every_frame(
+        self, mode, gallery, confirm_hits, max_age, scenario, persons, crossing, drop,
+        empty, seed,
+    ):
+        frames = 14
+        data = generate(SynthConfig(persons=persons, frames=frames, sigma_det=2.0,
+                                    crossing=crossing, seed=scenario))
+        by_frame, features, keypoints = dropped_frames(
+            data, frames, drop, empty, np.random.default_rng(seed)
+        )
+        config = TrackerConfig(mode=mode, gallery=gallery, bins=3, particles=5,
+                               confirm_hits=confirm_hits, max_age=max_age, seed=seed)
+        tracker, reference = Tracker(config), ReferenceTracker(config)
+        for frame in range(1, frames + 1):
+            got = tracker.process_frame(frame, by_frame[frame], features, keypoints)
+            expected = reference.process_frame(frame, by_frame[frame], features, keypoints)
+            assert got == expected
+            assert tracker.tracks.tolist() == [t.track_id for t in reference.tracks]
