@@ -51,24 +51,22 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_eval_reid(args: argparse.Namespace) -> int:
     strategy, bins = _parse_reid_mode(args.mode)
+    if strategy == "orient" and args.keypoints is None:
+        raise ValueError("orient mode requires --keypoints")
     items = metrics.label_features(
         parse_features(_read(args.features)),
         parse_mot(_read(args.ids_from_mot)),
         parse_keypoints(_read(args.keypoints)) if args.keypoints is not None else None,
     )
-    if strategy == "orient" and args.keypoints is None:
-        raise ValueError("orient mode requires --keypoints")
 
     if args.sweep_bins and strategy in ("random", "orient"):
         bin_counts = [int(b) for b in args.sweep_bins.split(",")]
     else:
         bin_counts = [bins]
 
+    gallery_items, query_items = metrics.split_gallery_query(items, args.split, args.seed)
     lines = ["mode,bins,rank1"]
     for count in bin_counts:
-        gallery_items, query_items = metrics.split_gallery_query(
-            items, args.split, args.seed
-        )
         gallery = metrics.build_gallery(
             gallery_items, strategy, bins=count, seed=args.seed
         )

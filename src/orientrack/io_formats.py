@@ -83,6 +83,8 @@ def _parse_int(raw: str, line_no: int, name: str) -> int:
         raise ParseError(line_no, f"non-numeric {name}: {raw!r}") from None
     if not value.is_integer():
         raise ParseError(line_no, f"{name} must be an integer, got {raw!r}")
+    if abs(value) >= 2**53:  # from here on a float no longer tells neighbouring integers apart
+        raise ParseError(line_no, f"{name} out of range: {raw!r}")
     return int(value)
 
 

@@ -1,10 +1,12 @@
 """Evaluation metrics: rank-1 re-identification, IDF1 and identity switches.
 
-IDF1 follows the identity-measure convention: a single global one-to-one
-assignment between ground-truth and predicted trajectories maximizing the
-number of matched detections, from which identity true positives, false
-positives and false negatives are derived.  Identity switches are counted
-with a persistence-preferring per-frame matcher.
+IDF1 follows the identity-measure convention: one global one-to-one assignment
+between ground-truth and predicted trajectories maximizing matched detections
+gives the identity true positives, false positives and false negatives.
+Identity switches come from a persistence-preferring per-frame matcher.  Boxes
+of one frame match when their IoU is at least the threshold (inclusive); a
+(frame, id) given twice keeps its last box; and every record, a repeated one
+too, counts toward IDFN = len(gt) - IDTP or IDFP = len(pred) - IDTP.
 """
 
 from __future__ import annotations
@@ -66,16 +68,20 @@ class MotScores:
     id_switches: int
 
 
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of (n, 4) or (4,) arrays of (left, top, width, height) boxes; 0 for no union."""
+    (la, ta, wa, ha), (lb, tb, wb, hb) = a.T, b.T
+    ix = np.maximum(0.0, np.minimum(la + wa, lb + wb) - np.maximum(la, lb))
+    iy = np.maximum(0.0, np.minimum(ta + ha, tb + hb) - np.maximum(ta, tb))
+    inter = ix * iy
+    union = wa * ha + wb * hb - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
 def iou(box_a: tuple[float, float, float, float],
         box_b: tuple[float, float, float, float]) -> float:
     """Intersection-over-union of (left, top, width, height) boxes."""
-    la, ta, wa, ha = box_a
-    lb, tb, wb, hb = box_b
-    ix = max(0.0, min(la + wa, lb + wb) - max(la, lb))
-    iy = max(0.0, min(ta + ha, tb + hb) - max(ta, tb))
-    inter = ix * iy
-    union = wa * ha + wb * hb - inter
-    return inter / union if union > 0 else 0.0
+    return float(_iou(np.asarray(box_a, dtype=float), np.asarray(box_b, dtype=float)))
 
 
 def split_gallery_query(
@@ -139,11 +145,35 @@ def rank1(gallery: Gallery, queries: list[LabeledFeature]) -> float:
     return hits / len(queries)
 
 
-def _trajectories(records: list[DetectionRecord]) -> dict[int, dict[int, tuple]]:
-    out: dict[int, dict[int, tuple]] = {}
-    for r in records:
-        out.setdefault(r.id, {})[r.frame] = r.box
-    return out
+def _rows(records: list[DetectionRecord]) -> tuple[np.ndarray, ...]:
+    """Frame, id, last box and first list position of each distinct (frame, id), sorted."""
+    frame = np.array([r.frame for r in records], dtype=np.int64)
+    ids = np.array([r.id for r in records], dtype=np.int64)
+    boxes = np.array([r.box for r in records], dtype=float).reshape(-1, 4)
+    order = np.lexsort((ids, frame))  # stable: a repeated (frame, id) keeps list order
+    frame, ids, boxes = frame[order], ids[order], boxes[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (frame[1:] != frame[:-1]) | (ids[1:] != ids[:-1])
+    return frame[first], ids[first], boxes[np.roll(first, -1)], order[first]
+
+
+def _same_frame_iou(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: float):
+    """Join gt and pred on frame.  Returns the gt rows' frame, id and first list
+    position, the pred rows' id, then the gt row, pred row and IoU of every
+    same-frame pair.  Pairs run through the gt rows, each over its frame's pred
+    rows, so one frame's pairs form one (gt rows, pred rows) block."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"IoU threshold must be in (0, 1), got {threshold}")
+    (g_frame, g_id, g_box, g_first), (p_frame, p_id, p_box, _) = _rows(gt), _rows(pred)
+    lo = np.searchsorted(p_frame, g_frame, side="left")
+    count = np.searchsorted(p_frame, g_frame, side="right") - lo
+    pair_gt = np.repeat(np.arange(len(count)), count)
+    pair_pred = np.arange(len(pair_gt)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    pair_iou = np.empty(len(pair_gt))
+    for k in range(0, len(pair_iou), 4096):  # bounded batches keep the temporaries small
+        part = slice(k, k + 4096)
+        pair_iou[part] = _iou(g_box[pair_gt[part]], p_box[pair_pred[part]])
+    return g_frame, g_id, g_first, p_id, pair_gt, pair_pred, pair_iou
 
 
 def idf1(
@@ -152,38 +182,18 @@ def idf1(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> MotScores:
     """Identity scores from the overlap-maximizing trajectory assignment."""
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
-    gt_traj = _trajectories(gt)
-    pred_traj = _trajectories(pred)
-    gt_ids = sorted(gt_traj)
-    pred_ids = sorted(pred_traj)
-
+    switches = id_switches(gt, pred, iou_threshold)  # first, so its table is freed before ours
+    _, gt_id, _, pred_id, pair_gt, pair_pred, pair_iou = _same_frame_iou(gt, pred, iou_threshold)
+    hit = pair_iou >= iou_threshold
+    # overlap[a, b]: frames where gt id a and pred id b match.
+    gt_ids, gt_col = np.unique(gt_id[pair_gt[hit]], return_inverse=True)
+    pred_ids, pred_col = np.unique(pred_id[pair_pred[hit]], return_inverse=True)
     overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    for a, gid in enumerate(gt_ids):
-        for b, pid in enumerate(pred_ids):
-            frames = gt_traj[gid].keys() & pred_traj[pid].keys()
-            overlap[a, b] = sum(
-                1
-                for f in frames
-                if iou(gt_traj[gid][f], pred_traj[pid][f]) >= iou_threshold
-            )
-
-    idtp = 0
-    if overlap.size:
-        rows, cols = linear_sum_assignment(-overlap)
-        idtp = int(overlap[rows, cols].sum())
-    idfn = len(gt) - idtp
-    idfp = len(pred) - idtp
-    denominator = 2 * idtp + idfp + idfn
-    score = 2 * idtp / denominator if denominator > 0 else 1.0
-    return MotScores(
-        idf1=score,
-        idtp=idtp,
-        idfp=idfp,
-        idfn=idfn,
-        id_switches=id_switches(gt, pred, iou_threshold),
-    )
+    np.add.at(overlap, (gt_col, pred_col), 1)
+    idtp = int(overlap[linear_sum_assignment(-overlap)].sum())
+    idfp, idfn = len(pred) - idtp, len(gt) - idtp
+    score = 2 * idtp / (2 * idtp + idfp + idfn) if gt or pred else 1.0
+    return MotScores(score, idtp, idfp, idfn, switches)
 
 
 def id_switches(
@@ -197,49 +207,41 @@ def id_switches(
     that pairing still clears the IoU threshold; remaining pairs are matched
     by an IoU-maximizing assignment.  Gaps without an id change do not count.
     """
-    gt_by_frame: dict[int, dict[int, tuple]] = {}
-    for r in gt:
-        gt_by_frame.setdefault(r.frame, {})[r.id] = r.box
-    pred_by_frame: dict[int, dict[int, tuple]] = {}
-    for r in pred:
-        pred_by_frame.setdefault(r.frame, {})[r.id] = r.box
-
+    g_frame, g_id, g_first, p_id, pair_gt, pair_pred, pair_iou = _same_frame_iou(
+        gt, pred, iou_threshold
+    )
+    # The first pair of each gt frame; the set drops the empty blocks of frames without preds.
+    _, frame_rows = np.unique(g_frame, return_index=True)
+    bounds = sorted({*np.searchsorted(pair_gt, frame_rows).tolist(), len(pair_gt)})
     last_assigned: dict[int, int] = {}
     switches = 0
-    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
-        gt_boxes = gt_by_frame.get(frame, {})
-        pred_boxes = pred_by_frame.get(frame, {})
-        matched: dict[int, int] = {}
-        claimed: set[int] = set()
+    for s, e in zip(bounds, bounds[1:]):
+        rows = slice(pair_gt[s], pair_gt[e - 1] + 1)
+        block = pair_iou[s:e].reshape(rows.stop - rows.start, -1)
+        gt_ids, first = g_id[rows].tolist(), g_first[rows].tolist()
+        pred_ids = p_id[pair_pred[s] : pair_pred[e - 1] + 1].tolist()
+        column = {pid: b for b, pid in enumerate(pred_ids)}
 
-        # Persistence pass: keep previous pairings that still overlap.
+        # Persistence pass: keep previous pairings that still overlap, best
+        # IoU first; equal IoUs go in the order the gt ids first appear.
         candidates = []
-        for gid, box in gt_boxes.items():
-            prev = last_assigned.get(gid)
-            if prev is not None and prev in pred_boxes:
-                score = iou(box, pred_boxes[prev])
-                if score >= iou_threshold:
-                    candidates.append((score, gid, prev))
-        for _, gid, pid in sorted(candidates, key=lambda c: -c[0]):
-            if gid not in matched and pid not in claimed:
-                matched[gid] = pid
-                claimed.add(pid)
+        for a, gid in enumerate(gt_ids):
+            b = column.get(last_assigned.get(gid))
+            if b is not None and block[a, b] >= iou_threshold:
+                candidates.append((-block[a, b], first[a], a, b))
+        # A column goes to its first candidate: written in reverse, the last write wins.
+        claimed = {b: a for *_, a, b in sorted(candidates, reverse=True)}
+        matched = {a: b for b, a in claimed.items()}  # block row -> block column
 
-        free_gt = [g for g in sorted(gt_boxes) if g not in matched]
-        free_pred = [p for p in sorted(pred_boxes) if p not in claimed]
+        free_gt = [a for a in range(len(gt_ids)) if a not in matched]
+        free_pred = [b for b in range(len(pred_ids)) if b not in claimed]
         if free_gt and free_pred:
-            cost = np.zeros((len(free_gt), len(free_pred)))
-            for a, gid in enumerate(free_gt):
-                for b, pid in enumerate(free_pred):
-                    cost[a, b] = -iou(gt_boxes[gid], pred_boxes[pid])
-            rows, cols = linear_sum_assignment(cost)
-            for a, b in zip(rows, cols):
+            cost = -block[np.ix_(free_gt, free_pred)]
+            for a, b in zip(*linear_sum_assignment(cost)):
                 if -cost[a, b] >= iou_threshold:
                     matched[free_gt[a]] = free_pred[b]
 
-        for gid, pid in matched.items():
-            prev = last_assigned.get(gid)
-            if prev is not None and prev != pid:
-                switches += 1
-            last_assigned[gid] = pid
+        for a, b in matched.items():
+            switches += last_assigned.get(gt_ids[a], pred_ids[b]) != pred_ids[b]
+            last_assigned[gt_ids[a]] = pred_ids[b]
     return switches

@@ -211,6 +211,8 @@ class Tracker:
         ``born``, and return the new ids."""
         keep = self._misses <= self.config.max_age
         ids = np.arange(self._next_id, self._next_id + len(born), dtype=np.int64)
+        if not len(ids) and keep.all():
+            return ids
         self._next_id += len(born)
         fresh = filtering.initial_state(born)
         self._state = filtering.TrackState(

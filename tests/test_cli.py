@@ -119,6 +119,56 @@ class TestPipeline:
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[2]) <= 1.0
 
+    def test_eval_reid_sweep_csv_is_pinned(self, tmp_path):
+        # Every bin count ranks the same gallery/query split.
+        data = write_synth(
+            tmp_path, "persons=4\nframes=20\nkappa=0.8\nsigma=0.3\nseed=2\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(
+            ["eval-reid", "--features", str(data / "features.txt"),
+             "--ids-from-mot", str(data / "gt.txt"),
+             "--keypoints", str(data / "keypoints.jsonl"),
+             "--mode", "orient:2", "--sweep-bins", "1,2,3,5,9",
+             "--out", str(out)]
+        ) == 0
+        assert out.read_text() == (
+            "mode,bins,rank1\norient,1,1.000000\norient,2,0.875000\n"
+            "orient,3,0.875000\norient,5,1.000000\norient,9,1.000000\n"
+        )
+
+    def test_orient_mode_without_keypoints_fails_before_parsing(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.txt")
+        assert run(
+            ["eval-reid", "--features", absent, "--ids-from-mot", absent,
+             "--mode", "orient:2", "--out", str(tmp_path / "out.csv")]
+        ) == 1
+        assert "orient mode requires --keypoints" in capsys.readouterr().err
+
+    def test_eval_mot_csv_is_pinned(self, tmp_path):
+        # A position-only tracker on four crossing persons: imperfect
+        # identities with two switches, scored as before the IoU table.
+        data = write_synth(
+            tmp_path, "persons=4\nframes=30\ncrossing=true\nsigma_det=2.0\nseed=3\n"
+        )
+        tracker_cfg = tmp_path / "tracker.cfg"
+        tracker_cfg.write_text("mode=pos_only\nseed=3\n")
+        pred = tmp_path / "pred.txt"
+        assert run(
+            ["track", "--det", str(data / "det.txt"),
+             "--features", str(data / "features.txt"),
+             "--keypoints", str(data / "keypoints.jsonl"),
+             "--config", str(tracker_cfg), "--out", str(pred)]
+        ) == 0
+        scores = tmp_path / "scores.csv"
+        assert run(
+            ["eval-mot", "--gt", str(data / "gt.txt"), "--pred", str(pred),
+             "--out", str(scores)]
+        ) == 0
+        assert scores.read_text() == (
+            "metric,value\nidf1,0.864407\nidtp,102\nidfp,14\nidfn,18\nid_switches,2\n"
+        )
+
     def test_synth_outputs_all_four_files(self, tmp_path):
         data = write_synth(tmp_path, "persons=2\nframes=5\n")
         for name in ("gt.txt", "det.txt", "features.txt", "keypoints.jsonl"):

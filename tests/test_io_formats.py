@@ -36,6 +36,16 @@ class TestParseMot:
             parse_mot(text)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", [
+        "9007199254740992,-1,10,20,30,60,0.9",  # 2**53 frame
+        "1,99999999999999999999,10,20,30,60,0.9",  # id past int64
+        "1,-9007199254740993,10,20,30,60,0.9",
+    ])
+    def test_integer_out_of_float_range_rejected(self, line):
+        with pytest.raises(ParseError, match="out of range") as exc:
+            parse_mot(line)
+        assert exc.value.line == 1
+
     def test_frame_zero_rejected(self):
         with pytest.raises(ValidationError):
             parse_mot("0,-1,10,20,30,60,0.9")

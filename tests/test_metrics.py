@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from orientrack.io_formats import DetectionRecord, FeatureTable, KeypointRecord
 from orientrack.metrics import (
     LabeledFeature,
+    MotScores,
     build_gallery,
     id_switches,
     idf1,
@@ -263,3 +266,174 @@ class TestLabelFeatures:
     def test_feature_row_without_mot_row(self):
         with pytest.raises(ValueError, match="no MOT row for frame 1, det_index 1"):
             label_features(self.table([(1, 0), (1, 1)]), [rec(1, 1, 0.0)])
+
+
+class TestIdSwitchesThreshold:
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_rejects_threshold_outside_open_unit_interval(self, threshold):
+        # At 0 a disjoint box (IoU 0) would "match" and count as a switch.
+        gt = [rec(1, 1, 0.0), rec(2, 1, 0.0)]
+        pred = [rec(1, 5, 0.0), rec(2, 6, 500.0)]
+        with pytest.raises(ValueError, match="IoU threshold"):
+            id_switches(gt, pred, threshold)
+
+
+# Per-pair loop versions of the identity metrics, kept as the reference the
+# vectorized ones must reproduce exactly.
+def reference_iou(box_a, box_b):
+    la, ta, wa, ha = box_a
+    lb, tb, wb, hb = box_b
+    ix = max(0.0, min(la + wa, lb + wb) - max(la, lb))
+    iy = max(0.0, min(ta + ha, tb + hb) - max(ta, tb))
+    inter = ix * iy
+    union = wa * ha + wb * hb - inter
+    return inter / union if union > 0 else 0.0
+
+
+def reference_trajectories(records):
+    out = {}
+    for r in records:
+        out.setdefault(r.id, {})[r.frame] = r.box
+    return out
+
+
+def reference_id_switches(gt, pred, iou_threshold):
+    gt_by_frame, pred_by_frame = {}, {}
+    for r in gt:
+        gt_by_frame.setdefault(r.frame, {})[r.id] = r.box
+    for r in pred:
+        pred_by_frame.setdefault(r.frame, {})[r.id] = r.box
+
+    last_assigned = {}
+    switches = 0
+    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
+        gt_boxes = gt_by_frame.get(frame, {})
+        pred_boxes = pred_by_frame.get(frame, {})
+        matched, claimed = {}, set()
+        candidates = []
+        for gid, box in gt_boxes.items():
+            prev = last_assigned.get(gid)
+            if prev is not None and prev in pred_boxes:
+                score = reference_iou(box, pred_boxes[prev])
+                if score >= iou_threshold:
+                    candidates.append((score, gid, prev))
+        for _, gid, pid in sorted(candidates, key=lambda c: -c[0]):
+            if gid not in matched and pid not in claimed:
+                matched[gid] = pid
+                claimed.add(pid)
+        free_gt = [g for g in sorted(gt_boxes) if g not in matched]
+        free_pred = [p for p in sorted(pred_boxes) if p not in claimed]
+        if free_gt and free_pred:
+            cost = np.zeros((len(free_gt), len(free_pred)))
+            for a, gid in enumerate(free_gt):
+                for b, pid in enumerate(free_pred):
+                    cost[a, b] = -reference_iou(gt_boxes[gid], pred_boxes[pid])
+            rows, cols = linear_sum_assignment(cost)
+            for a, b in zip(rows, cols):
+                if -cost[a, b] >= iou_threshold:
+                    matched[free_gt[a]] = free_pred[b]
+        for gid, pid in matched.items():
+            prev = last_assigned.get(gid)
+            if prev is not None and prev != pid:
+                switches += 1
+            last_assigned[gid] = pid
+    return switches
+
+
+def reference_idf1(gt, pred, iou_threshold):
+    gt_traj = reference_trajectories(gt)
+    pred_traj = reference_trajectories(pred)
+    gt_ids, pred_ids = sorted(gt_traj), sorted(pred_traj)
+    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
+    for a, gid in enumerate(gt_ids):
+        for b, pid in enumerate(pred_ids):
+            frames = gt_traj[gid].keys() & pred_traj[pid].keys()
+            overlap[a, b] = sum(
+                1 for f in frames
+                if reference_iou(gt_traj[gid][f], pred_traj[pid][f]) >= iou_threshold
+            )
+    idtp = 0
+    if overlap.size:
+        rows, cols = linear_sum_assignment(-overlap)
+        idtp = int(overlap[rows, cols].sum())
+    idfn, idfp = len(gt) - idtp, len(pred) - idtp
+    denominator = 2 * idtp + idfp + idfn
+    return MotScores(
+        idf1=2 * idtp / denominator if denominator > 0 else 1.0,
+        idtp=idtp, idfp=idfp, idfn=idfn,
+        id_switches=reference_id_switches(gt, pred, iou_threshold),
+    )
+
+
+# Boxes on a coarse grid give many tied IoUs, and the thresholds drawn
+# include every IoU two grid boxes can have, so matches exactly at the
+# threshold are common.
+GRID = dict(
+    bb_left=[0.0, 5.0, 10.0, 20.0], bb_top=[0.0, 5.0], bb_width=[10.0, 20.0], bb_height=[10.0, 20.0]
+)
+GRID_BOXES = list(itertools.product(*GRID.values()))
+GRID_IOUS = sorted(
+    {reference_iou(a, b) for a in GRID_BOXES for b in GRID_BOXES} - {0.0, 1.0}
+)
+
+
+@st.composite
+def grid_stream(draw, frames=8, ids=4):
+    """Records for a random subset of the (frame, id) cells, some given twice
+    with a second box, in a random order."""
+    cells = draw(st.lists(st.one_of(st.none(), st.sampled_from(GRID_BOXES)),
+                          min_size=frames * ids, max_size=frames * ids))
+    records = [
+        DetectionRecord(cell // ids + 1, cell % ids + 1, *box, 1.0)
+        for cell, box in enumerate(cells) if box is not None
+    ]
+    if records:
+        repeats = draw(st.lists(
+            st.tuples(st.sampled_from(records), st.sampled_from(GRID_BOXES)), max_size=4
+        ))
+        records += [DetectionRecord(r.frame, r.id, *box, 1.0) for r, box in repeats]
+    return draw(st.permutations(records))
+
+
+threshold = st.one_of(st.sampled_from(GRID_IOUS), st.floats(0.01, 0.99, allow_nan=False))
+
+
+class TestIdentityScoresMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_stream(), grid_stream(), threshold)
+    def test_grid_streams(self, gt, pred, iou_threshold):
+        # A frame may hold only gt or only pred records, and either list may
+        # be empty.
+        assert idf1(gt, pred, iou_threshold) == reference_idf1(gt, pred, iou_threshold)
+
+    def test_equal_ious_go_in_first_appearance_order(self):
+        # Frame 3 lists gt 2 before gt 1; both were last matched to pred 7 and
+        # overlap it equally, so gt 2 keeps it and gt 1 takes pred 8 (a switch).
+        # Frame 4 then moves gt 1 back to pred 7, a second switch.  Settling
+        # the tie by id instead lets gt 1 keep pred 7 and counts one switch.
+        box, near = (0.0, 0.0, 10.0, 10.0), (0.0, 0.0, 10.0, 20.0)
+        gt = [DetectionRecord(f, i, *box, 1.0) for f, i in [(1, 2), (2, 1), (3, 2), (3, 1), (4, 1)]]
+        pred = [DetectionRecord(f, i, *b, 1.0)
+                for f, i, b in [(1, 7, box), (2, 7, box), (3, 7, box), (3, 8, near), (4, 7, box)]]
+        assert id_switches(gt, pred) == reference_id_switches(gt, pred, 0.5) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), threshold)
+    def test_jittered_streams(self, seed, n_gt, n_pred, iou_threshold):
+        rng = np.random.default_rng(seed)
+        gt, pred = [], []
+        for frame in range(1, 9):
+            for out, n in ((gt, n_gt), (pred, n_pred)):
+                for ident in rng.permutation(n) + 1:
+                    if rng.random() < 0.85:
+                        left, top = rng.uniform(0, 60, size=2)
+                        w, h = rng.uniform(5, 30, size=2)
+                        out.append(DetectionRecord(frame, int(ident), left, top, w, h, 1.0))
+        assert idf1(gt, pred, iou_threshold) == reference_idf1(gt, pred, iou_threshold)
+
+    @given(st.tuples(*[st.floats(-50, 50)] * 2, *[st.floats(0.5, 50)] * 2),
+           st.tuples(*[st.floats(-50, 50)] * 2, *[st.floats(0.5, 50)] * 2))
+    def test_iou_is_bit_identical(self, box_a, box_b):
+        assert np.float64(iou(box_a, box_b)).tobytes() == np.float64(
+            reference_iou(box_a, box_b)
+        ).tobytes()

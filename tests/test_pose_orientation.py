@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from orientrack.pose_orientation import (
     Orientation,
@@ -73,6 +73,33 @@ def scale_about(t: TorsoPoints, factor: float, cx: float, cy: float) -> TorsoPoi
     )
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def points(t: TorsoPoints) -> list[tuple[float, float, float]]:
+    return [t.right_shoulder, t.left_shoulder, t.right_hip, t.left_hip]
+
+
+def torso_height(t: TorsoPoints) -> float:
+    """The confidence-weighted hip-minus-shoulder height s2t_ratio divides by."""
+    (_, y_rs, c_rs), (_, y_ls, c_ls), (_, y_rh, c_rh), (_, y_lh, c_lh) = points(t)
+
+    def pair(c_a, c_b, delta):
+        return (c_a + c_b) * delta if c_a > 0.0 and c_b > 0.0 else 0.0
+
+    return (pair(c_rs, c_rh, y_rh - y_rs) + pair(c_ls, c_lh, y_lh - y_ls)) / (
+        c_rs + c_ls + c_rh + c_lh
+    )
+
+
+def scale_magnitude(t: TorsoPoints, factor: float, cx: float, cy: float) -> float:
+    """The largest magnitude among the values scale_about forms."""
+    values = [cx, cy]
+    for (x, y, _), (sx, sy, _) in zip(points(t), points(scale_about(t, factor, cx, cy))):
+        values += [factor * (x - cx), factor * (y - cy), sx, sy]
+    return max(abs(v) for v in values)
+
+
 class TestS2tRatio:
     def test_symmetric_torso_facing_camera(self):
         t = torso([(0, 0), (4, 0), (0, 8), (4, 8)])
@@ -117,13 +144,36 @@ class TestS2tRatio:
         st.floats(-100, 100, allow_nan=False),
         st.floats(-100, 100, allow_nan=False),
     )
+    # A torso 1e-6 px high, just above the degeneracy guard: scale_about's
+    # rounding of its y coordinates moves the ratio by 1.03e-9 relative.
+    @example(torso([(0, 0), (1, 0), (0, 1e-6), (0, 0)], (1.0, 2.5e-273, 1.0, 0.0)), 19.0, 0.0, 9.0)
     def test_scale_invariance(self, t, factor, cx, cy):
         scaled = scale_about(t, factor, cx, cy)
         try:
             result = s2t_ratio(scaled)
         except OrientationUnavailable:
             return  # height may cross the degeneracy guard at tiny scales
-        assert result == pytest.approx(s2t_ratio(t), rel=1e-9, abs=1e-9)
+        expected = s2t_ratio(t)
+        # The rounding the two computations add, with u the unit roundoff:
+        # - scale_about forms cx + factor * (x - cx) with three roundings, so
+        #   each scaled coordinate is off by at most 3u*M', M' being the
+        #   largest magnitude it forms (scale_magnitude).
+        # - s2t_ratio's width and height are confidence-weighted means of
+        #   coordinate differences, weights summing to at most 1.  Input
+        #   errors move each by at most 2 * 3u*M'; its own roundings (the
+        #   difference, the weight sum and product, the pair sum and the
+        #   division by the total) add at most 16u*M on a torso whose
+        #   largest coordinate magnitude is M.
+        # - w / h with w and h each off by d moves by d * (1 + |s|) / |h|.
+        # So |result - expected| <= 22u * (1 + |s|) * (M'/|h'| + M/|h|) to
+        # first order; the test allows 48u, over twice that.  Torsos whose
+        # coordinates are small next to their height keep rel=1e-9.
+        m = max(abs(v) for x, y, _ in points(t) for v in (x, y))
+        bound = 48 * UNIT_ROUNDOFF * (1 + abs(expected)) * (
+            scale_magnitude(t, factor, cx, cy) / abs(torso_height(scaled))
+            + m / abs(torso_height(t))
+        )
+        assert result == pytest.approx(expected, rel=1e-9, abs=max(1e-9, bound))
 
     @given(torsos(), st.integers(0, 3), coordinate, coordinate)
     def test_zero_confidence_keypoint_is_irrelevant(self, t, index, new_x, new_y):
