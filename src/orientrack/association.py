@@ -47,20 +47,19 @@ def position_likelihood(
     measurements: np.ndarray,
     r: float = 10.0,
     d0: float = DEFAULT_D0_POS,
-    gate: float = CHI2_GATE,
 ) -> np.ndarray:
     """Softmin of Mahalanobis distances, gated, with a constant NEW_TRACK floor.
 
     ``tracks`` is the stacked state of the live tracks.  All detections x
     tracks squared distances come from one batched solve
     (``filtering.squared_mahalanobis``); a pair whose squared distance exceeds
-    ``gate`` gets 0, any other pair ``exp(-d)``, and the NEW_TRACK column
+    ``CHI2_GATE`` gets 0, any other pair ``exp(-d)``, and the NEW_TRACK column
     ``exp(-d0)``.  Returns an (n_detections, n_tracks + 1) row-stochastic
     matrix.
     """
     squared = squared_mahalanobis(tracks, measurements, r)
     matrix = np.empty((squared.shape[0], squared.shape[1] + 1))
-    matrix[:, :-1] = np.where(squared > gate, 0.0, np.exp(-np.sqrt(squared)))
+    matrix[:, :-1] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
     matrix[:, -1] = np.exp(-d0)
     return _normalize_rows(matrix)
 

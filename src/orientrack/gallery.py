@@ -44,13 +44,6 @@ class Gallery:
         # Binned strategies: (person, bin) -> row of its running mean.
         self._row_of: dict[tuple[int, int], int] = {}
 
-    @property
-    def dim(self) -> int | None:
-        return self._dim
-
-    def persons(self) -> list[int]:
-        return np.unique(self._owners[: self._rows]).tolist()
-
     def __contains__(self, person: int) -> bool:
         return bool(np.any(self._owners[: self._rows] == person))
 

@@ -7,6 +7,9 @@ Formats handled here:
   * keypoint streams (JSON lines, 18 COCO triples per detection)
   * flat ``key=value`` run configuration files
 
+Feature and keypoint rows share one key: ``det_index`` is the 0-based
+position of the detection within its frame, in detection-file order.
+
 All parsers are total: every input either yields a value or raises a
 positioned error; nothing is returned partially.
 """
@@ -64,9 +67,6 @@ class DetectionRecord:
 class FeatureTable:
     dim: int
     entries: dict[tuple[int, int], np.ndarray]
-
-    def get(self, frame: int, det_index: int) -> np.ndarray:
-        return self.entries[(frame, det_index)]
 
 
 @dataclass
@@ -164,6 +164,10 @@ def parse_features(text: str) -> FeatureTable:
             )
         frame = _parse_int(fields[0], line_no, "frame")
         det_index = _parse_int(fields[1], line_no, "det_index")
+        if frame < 1:
+            raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
+        if det_index < 0:
+            raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
         key = (frame, det_index)
         if key in entries:
             raise ParseError(line_no, f"duplicate key {key}")

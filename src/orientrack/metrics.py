@@ -6,7 +6,10 @@ gives the identity true positives, false positives and false negatives.
 Identity switches come from a persistence-preferring per-frame matcher.  Boxes
 of one frame match when their IoU is at least the threshold (inclusive); a
 (frame, id) given twice keeps its last box; and every record, a repeated one
-too, counts toward IDFN = len(gt) - IDTP or IDFP = len(pred) - IDTP.
+too, counts toward IDFN = len(gt) - IDTP or IDFP = len(pred) - IDTP.  Both
+scores are accumulated in one walk over the frames, one gt x pred IoU block
+per frame: beyond the rows and their matches, memory follows the largest
+frame, not persons squared times frames.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ def label_features(
 ) -> list[LabeledFeature]:
     """Label each feature row with the id of its MOT row and, given keypoints, its S2T.
 
-    Rows come out in (frame, det_index) order; det_index is the position of
-    the detection within its frame in ``mot``.  A detection without a valid
-    orientation gets ``s2t=None``.  Raises ``ValueError`` for a feature row
-    without a MOT row.
+    Rows come out in (frame, det_index) order; det_index is the 0-based
+    position of the detection within its frame in ``mot`` (file order), and
+    keypoint rows share it.  A detection without a valid orientation gets
+    ``s2t=None``.  Raises ``ValueError`` for a feature row without a MOT row,
+    a negative det_index included.
     """
     s2t_by_key: dict[tuple[int, int], float] = {}
     for record in keypoints or []:
@@ -51,7 +55,7 @@ def label_features(
     items: list[LabeledFeature] = []
     for (frame, det_index), vector in sorted(table.entries.items()):
         rows = by_frame.get(frame, [])
-        if det_index >= len(rows):
+        if not 0 <= det_index < len(rows):
             raise ValueError(f"no MOT row for frame {frame}, det_index {det_index}")
         items.append(LabeledFeature(
             person=rows[det_index].id, vector=vector, s2t=s2t_by_key.get((frame, det_index))
@@ -119,16 +123,15 @@ def build_gallery(
     strategy: str,
     bins: int = 1,
     seed: int = 0,
-    smax: float = 1.0,
 ) -> Gallery:
-    """Populate a gallery from labeled features, binning by their S2T values."""
+    """Populate a gallery from labeled features, binning S2T values over [-1, 1]."""
     gallery = Gallery(strategy, bins=bins, seed=seed)
     for item in items:
         if strategy == "orient":
             if item.s2t is None or not np.isfinite(item.s2t):
                 bin_index = fallback_bin(gallery.bins)
             else:
-                bin_index = orientation_bin(item.s2t, gallery.bins, smax)
+                bin_index = orientation_bin(item.s2t, gallery.bins)
         else:
             bin_index = 0
         gallery.insert(item.person, item.vector, bin_index)
@@ -157,23 +160,62 @@ def _rows(records: list[DetectionRecord]) -> tuple[np.ndarray, ...]:
     return frame[first], ids[first], boxes[np.roll(first, -1)], order[first]
 
 
-def _same_frame_iou(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: float):
-    """Join gt and pred on frame.  Returns the gt rows' frame, id and first list
-    position, the pred rows' id, then the gt row, pred row and IoU of every
-    same-frame pair.  Pairs run through the gt rows, each over its frame's pred
-    rows, so one frame's pairs form one (gt rows, pred rows) block."""
+def _walk(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: float):
+    """One pass over the frames that hold both gt and pred rows.
+
+    Each frame gives one (gt rows, pred rows) IoU block.  Its pairs at or
+    above the threshold are the frame's IDF1 matches; its persistence pass and
+    assignment are the switch counter's.  Returns IDTP and the switch count.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"IoU threshold must be in (0, 1), got {threshold}")
     (g_frame, g_id, g_box, g_first), (p_frame, p_id, p_box, _) = _rows(gt), _rows(pred)
-    lo = np.searchsorted(p_frame, g_frame, side="left")
-    count = np.searchsorted(p_frame, g_frame, side="right") - lo
-    pair_gt = np.repeat(np.arange(len(count)), count)
-    pair_pred = np.arange(len(pair_gt)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    pair_iou = np.empty(len(pair_gt))
-    for k in range(0, len(pair_iou), 4096):  # bounded batches keep the temporaries small
-        part = slice(k, k + 4096)
-        pair_iou[part] = _iou(g_box[pair_gt[part]], p_box[pair_pred[part]])
-    return g_frame, g_id, g_first, p_id, pair_gt, pair_pred, pair_iou
+    frames = np.unique(g_frame)
+    bounds = [np.searchsorted(f, frames, side=side).tolist()
+              for f in (g_frame, p_frame) for side in ("left", "right")]
+    hit_gt, hit_pred = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    last_assigned: dict[int, int] = {}
+    switches = 0
+    for g0, g1, p0, p1 in zip(*bounds):
+        if p0 == p1:
+            continue
+        block = _iou(g_box[None, g0:g1], p_box[p0:p1, None])
+        a_hit, b_hit = np.nonzero(block >= threshold)
+        hit_gt.append(g_id[g0 + a_hit])
+        hit_pred.append(p_id[p0 + b_hit])
+        gt_ids, first = g_id[g0:g1].tolist(), g_first[g0:g1].tolist()
+        pred_ids = p_id[p0:p1].tolist()
+        column = {pid: b for b, pid in enumerate(pred_ids)}
+
+        # Persistence pass: keep previous pairings that still overlap, best
+        # IoU first; equal IoUs go in the order the gt ids first appear.
+        candidates = []
+        for a, gid in enumerate(gt_ids):
+            b = column.get(last_assigned.get(gid))
+            if b is not None and block[a, b] >= threshold:
+                candidates.append((-block[a, b], first[a], a, b))
+        # A column goes to its first candidate: written in reverse, the last write wins.
+        claimed = {b: a for *_, a, b in sorted(candidates, reverse=True)}
+        matched = {a: b for b, a in claimed.items()}  # block row -> block column
+
+        free_gt = [a for a in range(len(gt_ids)) if a not in matched]
+        free_pred = [b for b in range(len(pred_ids)) if b not in claimed]
+        if free_gt and free_pred:
+            cost = -block[np.ix_(free_gt, free_pred)]
+            for a, b in zip(*linear_sum_assignment(cost)):
+                if -cost[a, b] >= threshold:
+                    matched[free_gt[a]] = free_pred[b]
+
+        for a, b in matched.items():
+            switches += last_assigned.get(gt_ids[a], pred_ids[b]) != pred_ids[b]
+            last_assigned[gt_ids[a]] = pred_ids[b]
+
+    # overlap[a, b]: frames where gt id a and pred id b match.
+    gt_ids, gt_col = np.unique(np.concatenate(hit_gt), return_inverse=True)
+    pred_ids, pred_col = np.unique(np.concatenate(hit_pred), return_inverse=True)
+    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
+    np.add.at(overlap, (gt_col, pred_col), 1)
+    return int(overlap[linear_sum_assignment(-overlap)].sum()), switches
 
 
 def idf1(
@@ -182,15 +224,7 @@ def idf1(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
 ) -> MotScores:
     """Identity scores from the overlap-maximizing trajectory assignment."""
-    switches = id_switches(gt, pred, iou_threshold)  # first, so its table is freed before ours
-    _, gt_id, _, pred_id, pair_gt, pair_pred, pair_iou = _same_frame_iou(gt, pred, iou_threshold)
-    hit = pair_iou >= iou_threshold
-    # overlap[a, b]: frames where gt id a and pred id b match.
-    gt_ids, gt_col = np.unique(gt_id[pair_gt[hit]], return_inverse=True)
-    pred_ids, pred_col = np.unique(pred_id[pair_pred[hit]], return_inverse=True)
-    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    np.add.at(overlap, (gt_col, pred_col), 1)
-    idtp = int(overlap[linear_sum_assignment(-overlap)].sum())
+    idtp, switches = _walk(gt, pred, iou_threshold)
     idfp, idfn = len(pred) - idtp, len(gt) - idtp
     score = 2 * idtp / (2 * idtp + idfp + idfn) if gt or pred else 1.0
     return MotScores(score, idtp, idfp, idfn, switches)
@@ -207,41 +241,4 @@ def id_switches(
     that pairing still clears the IoU threshold; remaining pairs are matched
     by an IoU-maximizing assignment.  Gaps without an id change do not count.
     """
-    g_frame, g_id, g_first, p_id, pair_gt, pair_pred, pair_iou = _same_frame_iou(
-        gt, pred, iou_threshold
-    )
-    # The first pair of each gt frame; the set drops the empty blocks of frames without preds.
-    _, frame_rows = np.unique(g_frame, return_index=True)
-    bounds = sorted({*np.searchsorted(pair_gt, frame_rows).tolist(), len(pair_gt)})
-    last_assigned: dict[int, int] = {}
-    switches = 0
-    for s, e in zip(bounds, bounds[1:]):
-        rows = slice(pair_gt[s], pair_gt[e - 1] + 1)
-        block = pair_iou[s:e].reshape(rows.stop - rows.start, -1)
-        gt_ids, first = g_id[rows].tolist(), g_first[rows].tolist()
-        pred_ids = p_id[pair_pred[s] : pair_pred[e - 1] + 1].tolist()
-        column = {pid: b for b, pid in enumerate(pred_ids)}
-
-        # Persistence pass: keep previous pairings that still overlap, best
-        # IoU first; equal IoUs go in the order the gt ids first appear.
-        candidates = []
-        for a, gid in enumerate(gt_ids):
-            b = column.get(last_assigned.get(gid))
-            if b is not None and block[a, b] >= iou_threshold:
-                candidates.append((-block[a, b], first[a], a, b))
-        # A column goes to its first candidate: written in reverse, the last write wins.
-        claimed = {b: a for *_, a, b in sorted(candidates, reverse=True)}
-        matched = {a: b for b, a in claimed.items()}  # block row -> block column
-
-        free_gt = [a for a in range(len(gt_ids)) if a not in matched]
-        free_pred = [b for b in range(len(pred_ids)) if b not in claimed]
-        if free_gt and free_pred:
-            cost = -block[np.ix_(free_gt, free_pred)]
-            for a, b in zip(*linear_sum_assignment(cost)):
-                if -cost[a, b] >= iou_threshold:
-                    matched[free_gt[a]] = free_pred[b]
-
-        for a, b in matched.items():
-            switches += last_assigned.get(gt_ids[a], pred_ids[b]) != pred_ids[b]
-            last_assigned[gt_ids[a]] = pred_ids[b]
-    return switches
+    return _walk(gt, pred, iou_threshold)[1]

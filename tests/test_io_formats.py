@@ -102,7 +102,7 @@ class TestParseFeatures:
     def test_basic(self):
         table = parse_features("# dim=2\n1,0,1.0,0.0")
         assert table.dim == 2
-        assert list(table.get(1, 0)) == [1.0, 0.0]
+        assert list(table.entries[(1, 0)]) == [1.0, 0.0]
 
     def test_wrong_length(self):
         with pytest.raises(ParseError):
@@ -116,6 +116,18 @@ class TestParseFeatures:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_features("1,0,1.0,0.0")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,-1,0.5,0.5", "det_index must be a non-negative integer, got -1"),
+         ("0,0,0.5,0.5", "frame must be a positive integer, got 0"),
+         ("-2,0,0.5,0.5", "frame must be a positive integer, got -2")],
+    )
+    def test_out_of_range_key_is_positioned(self, row, message):
+        # The same bounds as parse_keypoints: frames count from 1, det_index from 0.
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_features(f"# dim=2\n1,0,1.0,0.0\n{row}\n")
+        assert exc.value.line == 3
 
 
 class TestParseKeypoints:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,11 @@ class TestLabelFeatures:
         with pytest.raises(ValueError, match="no MOT row for frame 1, det_index 1"):
             label_features(self.table([(1, 0), (1, 1)]), [rec(1, 1, 0.0)])
 
+    def test_negative_det_index_has_no_mot_row(self):
+        # A negative index must not count back from the frame's last MOT row.
+        with pytest.raises(ValueError, match="no MOT row for frame 1, det_index -1"):
+            label_features(self.table([(1, -1)]), [rec(1, 4, 0.0), rec(1, 9, 50.0)])
+
 
 class TestIdSwitchesThreshold:
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, float("nan")])
@@ -437,3 +443,25 @@ class TestIdentityScoresMatchReference:
         assert np.float64(iou(box_a, box_b)).tobytes() == np.float64(
             reference_iou(box_a, box_b)
         ).tobytes()
+
+
+class TestIdentityMetricsMemory:
+    @staticmethod
+    def peak_bytes(persons, frames=200):
+        """Peak traced allocation of one idf1 call on side-by-side walkers."""
+        def stream(shift):
+            return [rec(f, p + 1, 30.0 * p + shift + 0.1 * f, w=20.0, h=50.0)
+                    for f in range(1, frames + 1) for p in range(persons)]
+
+        gt, pred = stream(0.0), stream(2.0)
+        tracemalloc.start()
+        try:
+            idf1(gt, pred)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_linearly_with_persons_per_frame(self):
+        # Doubling the persons doubles the records; a table of every
+        # same-frame gt x pred pair would quadruple.
+        assert self.peak_bytes(64) / self.peak_bytes(32) < 2.5

@@ -225,8 +225,9 @@ class TestGalleryGrowth:
         by_frame = group_by_frame(parse_mot(data.det_text))
         for frame in range(1, cfg.frames + 1):
             tracker.process_frame(frame, by_frame.get(frame, []), features, keypoints)
-        persons = len(tracker.gallery.persons())
-        assert tracker.gallery.stored_vectors() <= persons * 4
+        gallery = tracker.gallery
+        persons = len(np.unique(gallery._owners[: gallery._rows]))
+        assert gallery.stored_vectors() <= persons * 4
 
 
 class TestConfigParsing:
