@@ -161,19 +161,22 @@ def rbpf_step(
     assignments = np.empty((particles, n_det), dtype=np.int64)
     weights = ps.weights.copy()
     uniforms = rng.random((particles, n_det))
-    taken = np.zeros((particles, n_cols), dtype=bool)
-
-    for i in range(n_det):
-        probs = np.where(taken, 0.0, matrix[i])
-        total = probs.sum(axis=1)
-        empty = total <= 0.0
-        cdf = np.cumsum(probs / np.where(empty, 1.0, total)[:, None], axis=1)
-        cdf /= np.where(empty, 1.0, cdf[:, -1])[:, None]
-        cols = np.count_nonzero(cdf <= uniforms[:, i, None], axis=1)
-        cols[empty] = new_col
-        assignments[:, i] = cols
-        weights *= matrix[i, cols]
-        taken[rows, cols] = cols != new_col
+    # 0.0 where a particle took a real column: entries are finite and >= 0, so
+    # matrix[i] * free zeroes the taken ones exactly.  A row with no mass
+    # left divides 0 by 0; its column is set to NEW_TRACK afterwards.
+    free = np.ones((particles, n_cols))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n_det):
+            probs = matrix[i] * free
+            # np.add.reduce/accumulate: sum and cumsum without the method wrappers.
+            total = np.add.reduce(probs, axis=1, keepdims=True)
+            cdf = np.add.accumulate(probs / total, axis=1)
+            cdf /= cdf[:, -1:]
+            cols = np.add.reduce(cdf <= uniforms[:, i, None], axis=1)
+            cols[total[:, 0] <= 0.0] = new_col
+            assignments[:, i] = cols
+            weights *= matrix[i, cols]
+            free[rows, cols] = cols == new_col
 
     total = weights.sum()
     if total <= 0.0:

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import metrics, synth, tracker
+from . import association, metrics, synth, tracker
 from .io_formats import parse_features, parse_keypoints, parse_mot
 from .io_formats import ParseError, ValidationError, write_tracks
 
@@ -39,6 +39,11 @@ def _parse_reid_mode(raw: str) -> tuple[str, int]:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     config = tracker.config_from_text(_read(args.config))
+    if config.mode != association.POS_ONLY:
+        if args.features is None:
+            raise ValueError(f"mode={config.mode} requires --features")
+        if config.gallery == "orient" and args.keypoints is None:
+            raise ValueError(f"mode={config.mode} with gallery=orient requires --keypoints")
     records = tracker.run_sequence(
         config,
         _read(args.det),

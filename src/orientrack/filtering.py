@@ -36,9 +36,10 @@ class TrackState:
     cov: np.ndarray  # symmetric PSD
 
 
-def box_to_measurement(left: float, top: float, width: float, height: float) -> np.ndarray:
-    """Convert a (left, top, width, height) box to a (cx, cy, w, h) measurement."""
-    return np.array([left + width / 2.0, top + height / 2.0, width, height])
+def box_to_measurement(left, top, width, height) -> np.ndarray:
+    """(left, top, width, height) to (cx, cy, w, h), elementwise: scalars give
+    a (4,) row and ``box_to_measurement(*boxes.T)`` an (n, 4) block."""
+    return np.array([left + width / 2.0, top + height / 2.0, width, height]).T
 
 
 def initial_state(z: np.ndarray) -> TrackState:

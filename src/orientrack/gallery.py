@@ -44,9 +44,6 @@ class Gallery:
         # Binned strategies: (person, bin) -> row of its running mean.
         self._row_of: dict[tuple[int, int], int] = {}
 
-    def __contains__(self, person: int) -> bool:
-        return bool(np.any(self._owners[: self._rows] == person))
-
     def _block(self, features) -> np.ndarray:
         """Validate an (n, d) block of finite features against the gallery dimension."""
         feats = np.asarray(features, dtype=np.float64)
@@ -61,43 +58,72 @@ class Gallery:
         return feats
 
     def insert(self, person: int, feat: np.ndarray, bin: int | None = None) -> None:
-        """Insert a feature for a person; binned strategies update a running mean."""
-        feat = self._block([feat])[0]
-        self._dim = feat.shape[0]
+        """Insert a feature for a person: the one-row form of ``insert_block``."""
+        self.insert_block([person], [feat], None if bin is None else [bin])
+
+    def insert_block(
+        self, persons: Sequence[int], features, bins: Sequence[int] | None = None
+    ) -> None:
+        """Insert row i of an (n, d) feature block for ``persons[i]``, as n
+        ``insert`` calls in block order would.
+
+        ``full`` appends every row; binned strategies append a row per new
+        (person, bin) key and update each stored key's running mean.
+        ``random`` draws ``rng.integers(bins, size=n)``, the stream of n
+        single draws.  A key repeated within the block raises ``ValueError``.
+        """
+        feats = self._block(features)
+        persons = np.asarray(persons, dtype=np.int64)
+        if len(persons) != len(feats):
+            raise ValueError(f"{len(persons)} persons for {len(feats)} feature rows")
+        if not len(feats):
+            return
+        self._dim = feats.shape[1]
         if self.strategy == "full":
-            self._append(person, feat)
+            self._append(persons, feats)
             return
         if self.strategy == "averaged":
-            target = 0
+            targets = [0] * len(persons)
         elif self.strategy == "random":
-            target = int(self._rng.integers(self.bins))
+            targets = self._rng.integers(self.bins, size=len(persons)).tolist()
         else:  # orient
-            if bin is None:
+            if bins is None:
                 raise ValueError("orientation-binned gallery requires an explicit bin")
-            if not 0 <= bin < self.bins:
-                raise ValueError(f"bin {bin} out of range [0, {self.bins})")
-            target = bin
-        row = self._row_of.get((person, target))
-        if row is None:
-            self._row_of[(person, target)] = self._append(person, feat)
-        else:
-            count = int(self._counts[row])
-            self._vectors[row] = (count * self._vectors[row] + feat) / (count + 1)
-            self._counts[row] = count + 1
+            targets = np.asarray(bins, dtype=np.int64).reshape(len(persons)).tolist()
+            for target in targets:
+                if not 0 <= target < self.bins:
+                    raise ValueError(f"bin {target} out of range [0, {self.bins})")
+        keys = list(zip(persons.tolist(), targets))
+        if len(set(keys)) != len(keys):
+            raise ValueError("a (person, bin) key repeats within one block")
+        rows = [self._row_of.get(key, -1) for key in keys]
+        fresh = [i for i, row in enumerate(rows) if row < 0]
+        if fresh:
+            start = self._append(persons[fresh], feats[fresh])
+            self._row_of.update(zip([keys[i] for i in fresh], range(start, start + len(fresh))))
+        if len(fresh) < len(rows):
+            stored = [i for i, row in enumerate(rows) if row >= 0]
+            old = np.array([rows[i] for i in stored])
+            if fresh:
+                feats = feats[stored]
+            count = self._counts[old, None]
+            self._vectors[old] = (count * self._vectors[old] + feats) / (count + 1)
+            self._counts[old] = count[:, 0] + 1
 
-    def _append(self, person: int, feat: np.ndarray) -> int:
-        row = self._rows
-        if row == len(self._owners):
+    def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
+        """Append a row per person, each at insert count 1; returns the first new row."""
+        start, end = self._rows, self._rows + len(feats)
+        if end > len(self._owners):
             # np.resize keeps the leading rows; the tail is unused capacity.
-            capacity = max(2 * row, 8)
-            self._vectors = np.resize(self._vectors, (capacity, feat.shape[0]))
+            capacity = max(2 * end, 8)
+            self._vectors = np.resize(self._vectors, (capacity, feats.shape[1]))
             self._owners = np.resize(self._owners, capacity)
             self._counts = np.resize(self._counts, capacity)
-        self._vectors[row] = feat
-        self._owners[row] = person
-        self._counts[row] = 1
-        self._rows = row + 1
-        return row
+        self._vectors[start:end] = feats
+        self._owners[start:end] = persons
+        self._counts[start:end] = 1
+        self._rows = end
+        return start
 
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
@@ -119,10 +145,10 @@ class Gallery:
 
     def min_distance(self, person: int, feat: np.ndarray) -> float:
         """Euclidean distance from feat to the person's nearest stored feature."""
-        feat = self._block([feat])[0]
-        if person not in self:
+        distance = self.distances([feat], [person])[0, 0]
+        if not np.any(self._owners[: self._rows] == person):
             raise KeyError(f"person {person} has no stored features")
-        return float(self.distances([feat], [person])[0, 0])
+        return float(distance)
 
     def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
         """Person minimizing min_distance; ties broken by smallest person id."""

@@ -182,6 +182,7 @@ def parse_features(text: str) -> FeatureTable:
 def parse_keypoints(text: str) -> list[KeypointRecord]:
     """Parse JSON-lines keypoint records with exactly 18 COCO (x, y, c) triples."""
     records: list[KeypointRecord] = []
+    seen: set[tuple[int, int]] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -200,6 +201,9 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
         if type(det_index) is not int or det_index < 0:
             raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
+        if (frame, det_index) in seen:
+            raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
+        seen.add((frame, det_index))
         try:
             array = np.array(keypoints, dtype=np.float64)
         except (TypeError, ValueError):

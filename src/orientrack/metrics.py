@@ -72,20 +72,26 @@ class MotScores:
     id_switches: int
 
 
+def _corners(boxes) -> np.ndarray:
+    """(left, top, right, bottom, area), (5,) or (5, n), of (left, top, width, height) boxes."""
+    left, top, width, height = np.asarray(boxes, dtype=float).T
+    return np.array([left, top, left + width, top + height, width * height])
+
+
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of (n, 4) or (4,) arrays of (left, top, width, height) boxes; 0 for no union."""
-    (la, ta, wa, ha), (lb, tb, wb, hb) = a.T, b.T
-    ix = np.maximum(0.0, np.minimum(la + wa, lb + wb) - np.maximum(la, lb))
-    iy = np.maximum(0.0, np.minimum(ta + ha, tb + hb) - np.maximum(ta, tb))
+    """IoU of boxes given as ``_corners`` columns, broadcast; 0 for no union."""
+    (la, ta, ra, ba, area_a), (lb, tb, rb, bb, area_b) = a, b
+    ix = np.maximum(0.0, np.minimum(ra, rb) - np.maximum(la, lb))
+    iy = np.maximum(0.0, np.minimum(ba, bb) - np.maximum(ta, tb))
     inter = ix * iy
-    union = wa * ha + wb * hb - inter
+    union = area_a + area_b - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def iou(box_a: tuple[float, float, float, float],
         box_b: tuple[float, float, float, float]) -> float:
     """Intersection-over-union of (left, top, width, height) boxes."""
-    return float(_iou(np.asarray(box_a, dtype=float), np.asarray(box_b, dtype=float)))
+    return float(_iou(_corners(box_a), _corners(box_b)))
 
 
 def split_gallery_query(
@@ -149,7 +155,7 @@ def rank1(gallery: Gallery, queries: list[LabeledFeature]) -> float:
 
 
 def _rows(records: list[DetectionRecord]) -> tuple[np.ndarray, ...]:
-    """Frame, id, last box and first list position of each distinct (frame, id), sorted."""
+    """Frame, id, last box's ``_corners`` and first list position per (frame, id), sorted."""
     frame = np.array([r.frame for r in records], dtype=np.int64)
     ids = np.array([r.id for r in records], dtype=np.int64)
     boxes = np.array([r.box for r in records], dtype=float).reshape(-1, 4)
@@ -157,7 +163,7 @@ def _rows(records: list[DetectionRecord]) -> tuple[np.ndarray, ...]:
     frame, ids, boxes = frame[order], ids[order], boxes[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (frame[1:] != frame[:-1]) | (ids[1:] != ids[:-1])
-    return frame[first], ids[first], boxes[np.roll(first, -1)], order[first]
+    return frame[first], ids[first], _corners(boxes[np.roll(first, -1)]), order[first]
 
 
 def _walk(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: float):
@@ -179,7 +185,7 @@ def _walk(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: flo
     for g0, g1, p0, p1 in zip(*bounds):
         if p0 == p1:
             continue
-        block = _iou(g_box[None, g0:g1], p_box[p0:p1, None])
+        block = _iou(g_box[:, g0:g1, None], p_box[:, None, p0:p1])
         a_hit, b_hit = np.nonzero(block >= threshold)
         hit_gt.append(g_id[g0 + a_hit])
         hit_pred.append(p_id[p0 + b_hit])

@@ -109,3 +109,40 @@ def orientation_from_keypoints(
     except OrientationUnavailable:
         return Orientation(s2t=float("nan"), bin=fallback_bin(bins), valid=False)
     return Orientation(s2t=ratio, bin=orientation_bin(ratio, bins, smax), valid=True)
+
+
+# The four pairs of ``s2t_ratio`` as flat indices into 18 x 3 values, one
+# column each: width (rs, ls) and (rh, lh) on x, height (rh, rs) and (lh, ls)
+# on y.  Rows: first and second coordinate, first and second confidence.
+_FIRST = 3 * np.array([RIGHT_SHOULDER, RIGHT_HIP, RIGHT_HIP, LEFT_HIP])
+_SECOND = 3 * np.array([LEFT_SHOULDER, LEFT_HIP, RIGHT_SHOULDER, LEFT_SHOULDER])
+_PAIRS = np.stack([_FIRST + [0, 0, 1, 1], _SECOND + [0, 0, 1, 1], _FIRST + 2, _SECOND + 2])
+
+
+def orientation_bins(
+    keypoints: np.ndarray, bins: int, smax: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(bins, valid)`` of an (n, 18, 3) keypoint block, two (n,) arrays.
+
+    The block form of ``orientation_from_keypoints``: the same elementwise
+    operations in the same order, so on finite keypoints with confidences
+    in [0, 1] (what ``parse_keypoints`` accepts) row i gets that function's
+    bin and validity bit for bit; invalid rows get ``fallback_bin(bins)``.
+    """
+    if bins < 1:
+        raise ValueError(f"bin count must be >= 1, got {bins}")
+    if smax <= 0:
+        raise ValueError(f"smax must be positive, got {smax}")
+    # Each of the four is (pair, detection).
+    first, second, c_first, c_second = keypoints.reshape(-1, 3 * 18).T[_PAIRS]
+    weight = c_first + c_second
+    # A pair contributes only when both endpoints were observed.
+    terms = np.where(np.minimum(c_first, c_second) > 0.0, weight * (first - second), 0.0)
+    total = weight[0] + c_first[1] + c_second[1]  # c_rs + c_ls + c_rh + c_lh
+    # Invalid rows divide by zero; their values are replaced below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width, height = (terms[0::2] + terms[1::2]) / total
+        valid = (total > 0.0) & (np.abs(height) >= DEGENERATE_HEIGHT_EPS)
+        clamped = np.minimum(np.maximum(width / height, -smax), smax)
+        index = np.minimum(np.floor((clamped + smax) / (2.0 * smax) * bins), bins - 1)
+    return np.where(valid, index, fallback_bin(bins)).astype(np.int64), valid

@@ -4,7 +4,9 @@ The live tracks are arrays, one row per track in birth order: ``tracks``
 holds the ids, one stacked ``filtering.TrackState`` the Kalman state, and
 two count vectors the matches (hits) and the unmatched frames since the
 last match (misses).  Each frame makes one batched predict and one batched
-update of the matched rows.  A track is emitted once it has
+update of the matched rows, and handles its detections' measurements,
+features, orientation bins, gallery insert and emitted records as one block
+each.  A track is emitted once it has
 ``confirm_hits`` hits and dropped after more than ``max_age`` misses.
 
 Association runs a particle set whose assignments are re-sampled from
@@ -31,7 +33,9 @@ from .io_formats import (
     group_by_frame,
     parse_config,
 )
-from .pose_orientation import fallback_bin, orientation_from_keypoints
+# ``orientation_from_keypoints``, the one-row form of ``orientation_bins``, stays
+# importable from here for callers (and perfbench's tracer) that look it up here.
+from .pose_orientation import orientation_bins, orientation_from_keypoints  # noqa: F401
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid
 
@@ -101,32 +105,6 @@ class Tracker:
     def gallery(self) -> Gallery:
         return self._gallery
 
-    def _uses_appearance(self) -> bool:
-        return self.config.mode != association.POS_ONLY
-
-    def _frame_features(
-        self, frame: int, count: int, features: FeatureTable | None
-    ) -> list[np.ndarray]:
-        rows = []
-        for i in range(count):
-            if features is None or (frame, i) not in features.entries:
-                raise MissingInputError("feature", frame, i)
-            rows.append(features.entries[(frame, i)])
-        return rows
-
-    def _detection_bin(
-        self, frame: int, det_index: int,
-        keypoints: dict[tuple[int, int], KeypointRecord] | None,
-    ) -> int:
-        if self.config.gallery != "orient":
-            return fallback_bin(self.config.bins)
-        if keypoints is None or (frame, det_index) not in keypoints:
-            raise MissingInputError("keypoints", frame, det_index)
-        record = keypoints[(frame, det_index)]
-        return orientation_from_keypoints(
-            record.keypoints, self.config.bins, self.config.smax
-        ).bin
-
     def process_frame(
         self,
         frame: int,
@@ -134,19 +112,27 @@ class Tracker:
         features: FeatureTable | None = None,
         keypoints: dict[tuple[int, int], KeypointRecord] | None = None,
     ) -> list[DetectionRecord]:
-        """Advance the tracker by one frame; returns emitted confirmed records."""
+        """Advance the tracker by one frame; returns emitted confirmed records.
+        Inputs are gathered first: a MissingInputError leaves the tracker as it was."""
         cfg = self.config
+        count = len(detections)
+        boxes = np.array([d.box for d in detections]).reshape(count, 4)
+        measurements = filtering.box_to_measurement(*boxes.T)
+        feats = bins = None
+        if count and cfg.mode != association.POS_ONLY:
+            table = features.entries if features is not None else {}
+            feats = np.array(_frame_rows(table, "feature", frame, count))
+            if cfg.gallery == "orient":
+                records = _frame_rows(keypoints or {}, "keypoints", frame, count)
+                bins = orientation_bins(
+                    np.array([r.keypoints for r in records]), cfg.bins, cfg.smax
+                )[0]
+
         self._state = filtering.predict(self._state, cfg.q)
         self._misses += 1
-
-        if not detections:
-            self._retire_and_spawn(np.zeros((0, filtering.MEAS_DIM)))
+        if not count:
+            self._retire_and_spawn(measurements)
             return []
-
-        measurements = np.array([filtering.box_to_measurement(*d.box) for d in detections])
-        feats: list[np.ndarray] | None = None
-        if self._uses_appearance():
-            feats = self._frame_features(frame, len(detections), features)
 
         pos = app = None
         if cfg.mode != association.APP_ONLY:
@@ -154,7 +140,6 @@ class Tracker:
                 self._state, measurements, cfg.r, cfg.d0_pos
             )
         if cfg.mode != association.POS_ONLY:
-            assert feats is not None
             app = association.appearance_likelihood(
                 self._gallery, feats, self.tracks, cfg.d0_app
             )
@@ -176,35 +161,18 @@ class Tracker:
         self._state.cov[rows] = post.cov
         self._hits[rows] += 1
         self._misses[rows] = 0
-        emitted = [
-            self._emit(frame, int(self.tracks[row]), self._state.mean[row])
-            for row in rows[self._hits[rows] >= cfg.confirm_hits]
-        ]
+        confirmed = rows[self._hits[rows] >= cfg.confirm_hits]
+        size = np.maximum(self._state.mean[confirmed, 2:4], _EMIT_MIN_SIZE)
+        out = np.concatenate([self._state.mean[confirmed, :2] - size / 2.0, size], axis=1)
+        emitted = [DetectionRecord(frame, track_id, *box, conf=1.0)
+                   for track_id, box in zip(self.tracks[confirmed].tolist(), out.tolist())]
 
-        det_ids = np.empty(len(detections), dtype=np.int64)
+        det_ids = np.empty(count, dtype=np.int64)
         det_ids[matched] = self.tracks[rows]
         det_ids[~matched] = self._retire_and_spawn(measurements[~matched])
-        if self._uses_appearance():
-            assert feats is not None
-            for i, track_id in enumerate(det_ids.tolist()):
-                self._gallery.insert(
-                    track_id, feats[i], self._detection_bin(frame, i, keypoints)
-                )
+        if feats is not None:
+            self._gallery.insert_block(det_ids, feats, bins)
         return emitted
-
-    def _emit(self, frame: int, track_id: int, mean: np.ndarray) -> DetectionRecord:
-        cx, cy, w, h = mean[:4]
-        w = max(w, _EMIT_MIN_SIZE)
-        h = max(h, _EMIT_MIN_SIZE)
-        return DetectionRecord(
-            frame=frame,
-            id=track_id,
-            bb_left=cx - w / 2.0,
-            bb_top=cy - h / 2.0,
-            bb_width=w,
-            bb_height=h,
-            conf=1.0,
-        )
 
     def _retire_and_spawn(self, born: np.ndarray) -> np.ndarray:
         """Drop rows with more than max_age misses, append a track per (4,) row of
@@ -223,6 +191,16 @@ class Tracker:
         self._hits = np.concatenate([self._hits[keep], np.ones_like(ids)])
         self._misses = np.concatenate([self._misses[keep], np.zeros_like(ids)])
         return ids
+
+
+def _frame_rows(table: dict, kind: str, frame: int, count: int) -> list:
+    """``table[(frame, i)]`` for each i < count; raises MissingInputError for
+    the first absent i."""
+    try:
+        return [table[(frame, i)] for i in range(count)]
+    except KeyError:
+        missing = next(i for i in range(count) if (frame, i) not in table)
+        raise MissingInputError(kind, frame, missing) from None
 
 
 def run_sequence(

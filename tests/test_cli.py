@@ -145,6 +145,38 @@ class TestPipeline:
         ) == 1
         assert "orient mode requires --keypoints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, flags, missing",
+        [("mode=pos_app\ngallery=full\n", [], "--features"),
+         ("mode=app_only\ngallery=orient\n", [], "--features"),
+         ("mode=pos_app\ngallery=orient\n", ["--features"], "--keypoints"),
+         ("mode=app_only\ngallery=orient\n", ["--features"], "--keypoints")],
+    )
+    def test_track_without_required_input_fails_before_reading(
+        self, tmp_path, capsys, config, flags, missing
+    ):
+        # Every data path is absent: the flag check must come before any read.
+        absent = str(tmp_path / "absent.txt")
+        tracker_cfg = tmp_path / "tracker.cfg"
+        tracker_cfg.write_text(config)
+        argv = ["track", "--det", absent, "--config", str(tracker_cfg),
+                "--out", str(tmp_path / "out.txt")]
+        for flag in flags:
+            argv += [flag, absent]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"requires {missing}" in err
+        assert "absent.txt" not in err
+
+    def test_track_pos_only_needs_neither_features_nor_keypoints(self, tmp_path):
+        data = write_synth(tmp_path, "persons=2\nframes=10\nseed=5\n")
+        tracker_cfg = tmp_path / "tracker.cfg"
+        tracker_cfg.write_text("mode=pos_only\ngallery=orient\n")
+        pred = tmp_path / "pred.txt"
+        assert run(["track", "--det", str(data / "det.txt"), "--config", str(tracker_cfg),
+                    "--out", str(pred)]) == 0
+        assert parse_mot(pred.read_text())
+
     def test_eval_mot_csv_is_pinned(self, tmp_path):
         # A position-only tracker on four crossing persons: imperfect
         # identities with two switches, scored as before the IoU table.

@@ -141,6 +141,17 @@ class TestMeasurementConversion:
         z = box_to_measurement(10.0, 20.0, 30.0, 60.0)
         np.testing.assert_allclose(z, [25.0, 50.0, 30.0, 60.0])
 
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_equals_per_row(self, seed, count):
+        rng = np.random.default_rng(seed)
+        boxes = np.column_stack([rng.normal(0, 500, (count, 2)),
+                                 rng.uniform(0.1, 300, (count, 2))])
+        stacked = box_to_measurement(*boxes.T)
+        assert stacked.shape == (count, 4)
+        for row, box in zip(stacked, boxes.tolist()):
+            assert row.tobytes() == box_to_measurement(*box).tobytes()
+
 
 class TestStackedMatchesPerRow:
     """A (T, ...) stack must give, row for row, the bits of T single-track calls."""

@@ -270,6 +270,77 @@ class TestArrayStoreMatchesReference:
                     g.nearest_person(q)
 
 
+    @given(
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        # Distinct persons within a block, so its (person, bin) keys are distinct.
+        blocks=st.lists(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), grid_vectors),
+                     max_size=6, unique_by=lambda t: t[0]),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_inserts_equal_single_inserts(self, strategy, bins, seed, blocks):
+        g, singles = (Gallery(strategy, bins=bins, seed=seed) for _ in range(2))
+        ref = ReferenceGallery(strategy, bins, seed)
+        for block in blocks:
+            persons = [person for person, _, _ in block]
+            feats = np.array([feat for _, _, feat in block]).reshape(len(block), 3)
+            g.insert_block(persons, feats, [b % bins for _, b, _ in block])
+            for person, bin_index, feat in block:
+                singles.insert(person, feat, bin_index % bins)
+                ref.insert(person, feat, bin_index % bins)
+
+        rows = g._rows
+        assert rows == singles._rows == sum(len(v) for v in ref.vectors.values())
+        np.testing.assert_array_equal(g._vectors[:rows], singles._vectors[:rows])
+        np.testing.assert_array_equal(g._owners[:rows], singles._owners[:rows])
+        np.testing.assert_array_equal(g._counts[:rows], singles._counts[:rows])
+        assert g._row_of == singles._row_of
+        for person, vectors in ref.vectors.items():
+            stored = g._vectors[:rows][g._owners[:rows] == person]
+            assert sorted(map(tuple, stored)) == sorted(map(tuple, vectors))
+        assert g._rng.bit_generator.state == ref.rng.bit_generator.state
+
+    @pytest.mark.parametrize("bins", [1, 2, 5, 9])
+    def test_block_random_bins_are_the_single_draw_stream(self, bins):
+        # insert_block draws rng.integers(bins, size=n); insert draws one at a time.
+        block, single = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = block.integers(bins, size=50).tolist()
+        assert drawn == [int(single.integers(bins)) for _ in range(50)]
+        assert block.bit_generator.state == single.bit_generator.state
+
+
+class TestInsertBlock:
+    @pytest.mark.parametrize("strategy", ["averaged", "random", "orient"])
+    def test_repeated_key_raises_and_stores_nothing(self, strategy):
+        g = Gallery(strategy, bins=1)
+        g.insert(3, np.array([1.0, 2.0]), bin=0)
+        with pytest.raises(ValueError, match="repeats"):
+            g.insert_block([4, 4], np.array([[0.0, 1.0], [2.0, 3.0]]), [0, 0])
+        assert g.stored_vectors() == 1
+        np.testing.assert_array_equal(g._vectors[0], [1.0, 2.0])
+        assert g._counts[0] == 1
+
+    def test_full_takes_repeated_persons(self):
+        g = Gallery("full")
+        g.insert_block([4, 4], np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert g.stored_vectors() == 2
+
+    def test_bad_block_is_rejected_before_any_write(self):
+        g = Gallery("orient", bins=2)
+        feats = np.array([[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="out of range"):
+            g.insert_block([1, 2], feats, [0, 2])
+        with pytest.raises(ValueError, match="explicit bin"):
+            g.insert_block([1, 2], feats)
+        with pytest.raises(ValueError, match="persons"):
+            g.insert_block([1], feats, [0, 1])
+        assert g.stored_vectors() == 0
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_insert_rejects_non_finite(self, bad):

@@ -165,6 +165,15 @@ class TestParseKeypoints:
             parse_keypoints(good + "\n" + line)
         assert exc.value.line == 2
 
+    def test_duplicate_key_is_positioned(self):
+        # As in parse_features: a dict keyed by (frame, det_index) would keep the last row.
+        kps = str([[0, 0, 0]] * 18)
+        lines = [f'{{"frame":{f},"det_index":{i},"keypoints":{kps}}}'
+                 for f, i in ((1, 0), (1, 1), (2, 0), (1, 1))]
+        with pytest.raises(ParseError, match=r"duplicate key \(1, 1\)") as exc:
+            parse_keypoints("\n".join(lines))
+        assert exc.value.line == 4
+
 
 class TestParseConfig:
     def test_basic(self):

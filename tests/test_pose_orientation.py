@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orientrack.pose_orientation import (
     Orientation,
@@ -10,6 +11,7 @@ from orientrack.pose_orientation import (
     TorsoPoints,
     fallback_bin,
     orientation_bin,
+    orientation_bins,
     orientation_from_keypoints,
     s2t_ratio,
 )
@@ -239,3 +241,57 @@ class TestOrientationFromKeypoints:
         assert not orientation.valid
         assert orientation.bin == fallback_bin(5) == 2
         assert math.isnan(orientation.s2t)
+
+
+# A few repeated values make equal (degenerate) heights and zero confidences
+# common; 1e-7 and 2e-6 put torso heights on both sides of the epsilon.
+block_coordinate = st.one_of(
+    st.sampled_from([0.0, 1e-7, 2e-6, 1.0, -4.0, 250.0]), st.floats(-1000, 1000)
+)
+block_confidence = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def keypoint_blocks(draw):
+    n = draw(st.integers(0, 40))
+    xy = draw(arrays(np.float64, (n, 18, 2), elements=block_coordinate))
+    c = draw(arrays(np.float64, (n, 18, 1), elements=block_confidence))
+    return np.concatenate([xy, c], axis=2)
+
+
+class TestOrientationBinsMatchScalar:
+    @given(
+        block=keypoint_blocks(),
+        bins=st.integers(1, 9),
+        smax=st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 10.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_equals_orientation_from_keypoints(self, block, bins, smax):
+        got, valid = orientation_bins(block, bins, smax)
+        expected = [orientation_from_keypoints(row, bins, smax) for row in block]
+        assert got.dtype == np.int64 and got.shape == valid.shape == (len(block),)
+        assert got.tolist() == [o.bin for o in expected]
+        assert valid.tolist() == [o.valid for o in expected]
+
+    def test_each_case_of_the_scalar_form(self):
+        rows = np.zeros((6, 18, 3))
+        for row, (rs, ls, rh, lh) in zip(rows, [
+            ((4, 0, 1), (0, 0, 1), (4, 8, 1), (0, 8, 1)),  # s2t 0.5
+            ((40, 0, 1), (0, 0, 1), (40, 8, 1), (0, 8, 1)),  # s2t 5 > smax
+            ((-40, 0, 1), (0, 0, 1), (-40, 8, 1), (0, 8, 1)),  # s2t -5 < -smax
+            ((4, 0, 0), (0, 0, 0), (4, 8, 0), (0, 8, 0)),  # zero confidence mass
+            ((4, 3, 1), (0, 3, 1), (4, 3, 1), (0, 3, 1)),  # degenerate height
+            ((4, 0, 1), (9, 9, 0), (4, 8, 0.5), (0, 8, 1)),  # s2t 0.5, left shoulder unobserved
+        ]):
+            row[[2, 5, 8, 11]] = [rs, ls, rh, lh]
+        got, valid = orientation_bins(rows, bins=5)
+        expected = [orientation_from_keypoints(row, bins=5) for row in rows]
+        assert got.tolist() == [o.bin for o in expected] == [3, 4, 0, 2, 2, 3]
+        assert valid.tolist() == [o.valid for o in expected]
+        assert valid.tolist() == [True, True, True, False, False, True]
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError):
+            orientation_bins(np.zeros((1, 18, 3)), bins=0)
+        with pytest.raises(ValueError):
+            orientation_bins(np.zeros((1, 18, 3)), bins=2, smax=0.0)

@@ -171,6 +171,29 @@ class TestInputRequirements:
             )
         assert exc.value.frame == 1
 
+    @pytest.mark.parametrize("absent", ["feature", "keypoints"])
+    def test_missing_row_leaves_the_tracker_unchanged(self, absent):
+        rows = [(f, 100.0 + 60.0 * i, 100.0, 40.0, 80.0) for f in (1, 2) for i in range(3)]
+        by_frame = group_by_frame(parse_mot(det_lines(rows)))
+        entries = {(f, i): np.array([1.0, float(i)]) for f in (1, 2) for i in range(3)}
+        lines = [f'{{"frame":{f},"det_index":{i},"keypoints":{[[i, 0, 1]] * 18}}}'
+                 for f, i in entries]
+        keypoints = {(k.frame, k.det_index): k for k in parse_keypoints("\n".join(lines))}
+        (entries if absent == "feature" else keypoints).pop((2, 1))
+        features = FeatureTable(dim=2, entries=entries)
+        tracker = Tracker(TrackerConfig(mode="pos_app", gallery="orient", bins=3))
+        tracker.process_frame(1, by_frame[1], features, keypoints)
+        before = (tracker.tracks.copy(), tracker._state.mean.copy(), tracker._misses.copy(),
+                  tracker._hits.copy(), tracker.gallery.stored_vectors())
+        with pytest.raises(MissingInputError) as exc:
+            tracker.process_frame(2, by_frame[2], features, keypoints)
+        assert (exc.value.frame, exc.value.det_index) == (2, 1)
+        assert str(exc.value).startswith(f"missing {absent} ")
+        after = (tracker.tracks, tracker._state.mean, tracker._misses, tracker._hits,
+                 tracker.gallery.stored_vectors())
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+
     def test_pos_only_needs_no_features(self):
         rows = [(f, 100.0, 100.0, 40.0, 80.0) for f in range(1, 5)]
         out = run_sequence(TrackerConfig(mode="pos_only"), det_lines(rows))
