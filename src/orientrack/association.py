@@ -5,6 +5,13 @@ track plus a trailing NEW_TRACK column.  Rows are probability distributions
 (softmin of distances, row-normalized); every particle samples one-to-one
 assignments from them afresh each frame, so no association hypothesis
 survives a frame and only particle weights carry over (ROADMAP.md item 2).
+
+The sampler draws a frame's rows by dependency level rather than one row at
+a time.  A row's support is its set of real-track columns with mass; two rows
+depend on each other when their supports meet, and a row's level is one more
+than the highest level among the earlier rows it depends on (0 if none).
+Rows of one level have disjoint supports, so all particles sample them in one
+batch with the arithmetic of the row-by-row loop.
 """
 
 from __future__ import annotations
@@ -131,6 +138,37 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.searchsorted(np.cumsum(weights), positions).clip(max=n - 1)
 
 
+def _levels(matrix: np.ndarray) -> list[list[int]]:
+    """The rows of each dependency level, in row order within a level.
+
+    A row's level is 0 if its real-column support meets no earlier row's
+    support, else 1 + the highest level among the earlier rows whose supports
+    it meets.  Supports are Python-int bitmasks, and ``unions[k]`` is the union
+    of level k's supports so far, so a row costs one mask test per level it
+    skips, and a row that meets no earlier support costs none.
+    """
+    packed = np.packbits(matrix[:, :-1] > 0.0, axis=1)
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    unions: list[int] = []
+    groups: list[list[int]] = []
+    seen = 0
+    for i in range(len(matrix)):
+        mask = int.from_bytes(raw[i * width:(i + 1) * width], "big")
+        level = 0
+        if mask & seen:
+            level = len(unions)
+            while not unions[level - 1] & mask:
+                level -= 1
+        seen |= mask
+        if level == len(unions):
+            unions.append(0)
+            groups.append([])
+        unions[level] |= mask
+        groups[level].append(i)
+    return groups
+
+
 def rbpf_step(
     ps: ParticleSet, matrix: np.ndarray, rng: np.random.Generator
 ) -> tuple[ParticleSet, np.ndarray]:
@@ -150,33 +188,59 @@ def rbpf_step(
     the column that a ``rng.choice`` call per row would have picked from the
     same stream.  A row with no mass left (possible only when its NEW_TRACK
     entry is 0) takes NEW_TRACK and still uses up its uniform.  Raises
-    ``ValueError`` if ``matrix`` has a non-finite or negative entry.
+    ``ValueError`` if ``matrix`` has a negative entry or a row whose sum is not
+    finite (a non-finite entry, or a sum that overflows).
+
+    Rows are sampled one dependency level at a time (see ``_levels``), each
+    level as one (P, rows, columns) batch.  This is exact: with finite row
+    sums a particle only picks a column with mass, so a real column a row
+    could see taken lies in its support, and only earlier rows of lower
+    levels can take it.  Each row thus reads the taken columns the row-by-row
+    loop gives it, and the weight factors are multiplied in row order.
     """
-    if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
-        raise ValueError("association matrix must be finite and non-negative")
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1
     particles = len(ps.weights)
-    rows = np.arange(particles)
-    assignments = np.empty((particles, n_det), dtype=np.int64)
-    weights = ps.weights.copy()
-    uniforms = rng.random((particles, n_det))
-    # 0.0 where a particle took a real column: entries are finite and >= 0, so
-    # matrix[i] * free zeroes the taken ones exactly.  A row with no mass
-    # left divides 0 by 0; its column is set to NEW_TRACK afterwards.
-    free = np.ones((particles, n_cols))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n_det):
-            probs = matrix[i] * free
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not (np.isfinite(np.add.reduce(matrix, axis=1)).all() and (matrix >= 0.0).all()):
+            raise ValueError(
+                "association matrix rows must have finite sums and no negative entry"
+            )
+        levels = _levels(matrix)
+        # Rows sorted by level, so that each level is a slice; ``picked`` is
+        # scattered back to row order at the end.
+        order = np.array([i for level in levels for i in level], dtype=np.intp)
+        ordered = matrix[order]
+        # (P, n, 1) is the (P, n) particle-major stream with a trailing axis.
+        uniforms = rng.random((particles, n_det, 1))[:, order]
+        picked = np.empty((particles, n_det), dtype=np.int64)
+        # 0.0 where a particle took a real column: entries are finite and >= 0,
+        # so a row times ``free`` zeroes the taken ones exactly.  A row with no
+        # mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
+        free = np.ones((particles, n_cols))
+        rows = np.arange(particles)[:, None]
+        start = 0
+        for level in levels:
+            end = start + len(level)
+            probs = ordered[start:end] * free[:, None]
             # np.add.reduce/accumulate: sum and cumsum without the method wrappers.
-            total = np.add.reduce(probs, axis=1, keepdims=True)
-            cdf = np.add.accumulate(probs / total, axis=1)
-            cdf /= cdf[:, -1:]
-            cols = np.add.reduce(cdf <= uniforms[:, i, None], axis=1)
-            cols[total[:, 0] <= 0.0] = new_col
-            assignments[:, i] = cols
-            weights *= matrix[i, cols]
+            total = np.add.reduce(probs, axis=2, keepdims=True)
+            cdf = np.add.accumulate(probs / total, axis=2)
+            cdf /= cdf[..., -1:]
+            cols = np.add.reduce(cdf <= uniforms[:, start:end], axis=2)
+            cols[total[..., 0] <= 0.0] = new_col
+            picked[:, start:end] = cols
             free[rows, cols] = cols == new_col
+            start = end
+    assignments = np.empty_like(picked)
+    assignments[:, order] = picked
+    # One sequential product over [weight | factors in row order], as the
+    # row-by-row loop's ``weights *= factor``; a pairwise reduce would
+    # multiply in another order.
+    factors = matrix[np.arange(n_det), assignments]
+    weights = np.multiply.accumulate(
+        np.concatenate((ps.weights[:, None], factors), axis=1), axis=1
+    )[:, -1]
 
     total = weights.sum()
     if total <= 0.0:

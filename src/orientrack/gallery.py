@@ -70,7 +70,9 @@ class Gallery:
         ``full`` appends every row; binned strategies append a row per new
         (person, bin) key and update each stored key's running mean.
         ``random`` draws ``rng.integers(bins, size=n)``, the stream of n
-        single draws.  A key repeated within the block raises ``ValueError``.
+        single draws.  A key that repeats within the block is applied in
+        rounds: round k inserts the k-th occurrence of every key, so each
+        key's rows update its mean in block order.
         """
         feats = self._block(features)
         persons = np.asarray(persons, dtype=np.int64)
@@ -94,21 +96,27 @@ class Gallery:
                 if not 0 <= target < self.bins:
                     raise ValueError(f"bin {target} out of range [0, {self.bins})")
         keys = list(zip(persons.tolist(), targets))
-        if len(set(keys)) != len(keys):
-            raise ValueError("a (person, bin) key repeats within one block")
-        rows = [self._row_of.get(key, -1) for key in keys]
-        fresh = [i for i, row in enumerate(rows) if row < 0]
-        if fresh:
-            start = self._append(persons[fresh], feats[fresh])
-            self._row_of.update(zip([keys[i] for i in fresh], range(start, start + len(fresh))))
-        if len(fresh) < len(rows):
-            stored = [i for i, row in enumerate(rows) if row >= 0]
-            old = np.array([rows[i] for i in stored])
+        rounds: list[list[int]] = []
+        occurrences: dict[tuple[int, int], int] = {}
+        for i, key in enumerate(keys):
+            k = occurrences[key] = occurrences.get(key, -1) + 1
+            if k == len(rounds):
+                rounds.append([])
+            rounds[k].append(i)
+        for members in rounds:
+            # The first round appends every new key in the order single
+            # inserts would; later rounds only update stored keys.
+            rows = [self._row_of.get(keys[i], -1) for i in members]
+            fresh = [i for i, row in zip(members, rows) if row < 0]
             if fresh:
-                feats = feats[stored]
-            count = self._counts[old, None]
-            self._vectors[old] = (count * self._vectors[old] + feats) / (count + 1)
-            self._counts[old] = count[:, 0] + 1
+                start = self._append(persons[fresh], feats[fresh])
+                self._row_of.update(zip([keys[i] for i in fresh], range(start, start + len(fresh))))
+            stored = [i for i, row in zip(members, rows) if row >= 0]
+            if stored:
+                old = np.array([row for row in rows if row >= 0])
+                count = self._counts[old, None]
+                self._vectors[old] = (count * self._vectors[old] + feats[stored]) / (count + 1)
+                self._counts[old] = count[:, 0] + 1
 
     def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
         """Append a row per person, each at insert count 1; returns the first new row."""

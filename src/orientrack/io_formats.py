@@ -190,6 +190,9 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError:
+            # An integer literal past Python's int-from-string digit limit.
+            raise ParseError(line_no, "integer with too many digits") from None
         try:
             frame = obj["frame"]
             det_index = obj["det_index"]
@@ -199,8 +202,12 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
         # JSON true/false load as bool, a subclass of int: test the exact type.
         if type(frame) is not int or frame < 1:
             raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
+        if frame >= 2**53:  # the range _parse_int gives the CSV parsers
+            raise ParseError(line_no, f"frame out of range: {frame!r}")
         if type(det_index) is not int or det_index < 0:
             raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
+        if det_index >= 2**53:
+            raise ParseError(line_no, f"det_index out of range: {det_index!r}")
         if (frame, det_index) in seen:
             raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
         seen.add((frame, det_index))
@@ -208,6 +215,8 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             array = np.array(keypoints, dtype=np.float64)
         except (TypeError, ValueError):
             raise ParseError(line_no, "keypoints must be numeric (x, y, c) triples") from None
+        except OverflowError:
+            raise ParseError(line_no, "keypoint value outside the float range") from None
         if array.shape != (COCO_KEYPOINT_COUNT, 3):
             raise ParseError(
                 line_no, f"expected {COCO_KEYPOINT_COUNT} keypoints, got shape {array.shape}"

@@ -130,17 +130,24 @@ def build_gallery(
     bins: int = 1,
     seed: int = 0,
 ) -> Gallery:
-    """Populate a gallery from labeled features, binning S2T values over [-1, 1]."""
+    """Populate a gallery from labeled features, binning S2T values over [-1, 1].
+
+    The items go in with one ``Gallery.insert_block`` call, in list order.
+    """
     gallery = Gallery(strategy, bins=bins, seed=seed)
-    for item in items:
-        if strategy == "orient":
-            if item.s2t is None or not np.isfinite(item.s2t):
-                bin_index = fallback_bin(gallery.bins)
-            else:
-                bin_index = orientation_bin(item.s2t, gallery.bins)
-        else:
-            bin_index = 0
-        gallery.insert(item.person, item.vector, bin_index)
+    if not items:
+        return gallery
+    if strategy == "orient":
+        targets = [
+            fallback_bin(gallery.bins) if item.s2t is None or not np.isfinite(item.s2t)
+            else orientation_bin(item.s2t, gallery.bins)
+            for item in items
+        ]
+    else:
+        targets = [0] * len(items)
+    gallery.insert_block(
+        [item.person for item in items], np.array([item.vector for item in items]), targets
+    )
     return gallery
 
 

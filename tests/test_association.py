@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from orientrack import association
 from orientrack.association import (
     CHI2_GATE,
     ParticleSet,
@@ -17,6 +18,9 @@ from orientrack.association import (
 )
 from orientrack.filtering import MEAS_MATRIX, TrackState, initial_state
 from orientrack.gallery import Gallery
+from orientrack.io_formats import write_tracks
+from orientrack.synth import SynthConfig, generate
+from orientrack.tracker import TrackerConfig, run_sequence
 
 
 def stacked(states):
@@ -240,6 +244,7 @@ def reference_rbpf_step(ps, matrix, rng):
                 probs[col] = 0.0
             total = probs.sum()
             if total <= 0.0:
+                rng.random()  # the row still uses up its uniform (draw contract)
                 col = new_col
             else:
                 col = int(rng.choice(n_cols, p=probs / total))
@@ -316,6 +321,100 @@ class TestBatchedMatchesReference:
             np.testing.assert_array_equal(ps.weights, expected_ps.weights)
             np.testing.assert_array_equal(consensus, expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def crowd_matrix(rng, n_det, n_trk, blocky, width, dense, empty, no_new):
+    """A gated crowd's rows: each supports the ``width`` columns around a drawn
+    track (banded) or that track's block of ``width`` columns (blocky).  A
+    ``dense`` share of rows supports every column, an ``empty`` share none,
+    and a ``no_new`` share has no NEW_TRACK mass, so it can run out of mass."""
+    matrix = np.zeros((n_det, n_trk + 1))
+    if n_trk:
+        centre = rng.integers(0, n_trk, n_det)[:, None]
+        cols = np.arange(n_trk)
+        if blocky:
+            support = cols // width == centre // width
+        else:
+            support = np.abs(cols - centre) < width
+        support |= rng.random((n_det, 1)) < dense
+        support &= rng.random((n_det, 1)) >= empty
+        matrix[:, :-1] = np.where(support, rng.uniform(1e-3, 1.0, (n_det, n_trk)), 0.0)
+    matrix[:, -1] = np.where(rng.random(n_det) < no_new, 0.0, rng.uniform(1e-3, 1.0, n_det))
+    return matrix
+
+
+class TestLevelledSamplerMatchesReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        particles=st.integers(1, 8),
+        n_det=st.integers(0, 40),
+        n_trk=st.integers(0, 40),
+        blocky=st.booleans(),
+        width=st.integers(1, 4),
+        dense=st.sampled_from([0.0, 0.1, 1.0]),
+        empty=st.sampled_from([0.0, 0.2]),
+        no_new=st.sampled_from([0.0, 0.3, 1.0]),
+        frames=st.integers(1, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_crowd_rows_equal_choice_loop(
+        self, seed, particles, n_det, n_trk, blocky, width, dense, empty, no_new, frames
+    ):
+        shape = np.random.default_rng(seed)
+        ps = expected_ps = ParticleSet.initial(particles)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(frames):
+            matrix = crowd_matrix(shape, n_det, n_trk, blocky, width, dense, empty, no_new)
+            ps, consensus = rbpf_step(ps, matrix, rng)
+            expected_ps, expected = reference_rbpf_step(expected_ps, matrix, reference_rng)
+            np.testing.assert_array_equal(ps.assignments, expected_ps.assignments)
+            np.testing.assert_array_equal(ps.weights, expected_ps.weights)
+            np.testing.assert_array_equal(consensus, expected)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_levels_follow_overlapping_supports(self):
+        # Supports {0}, {1}, {0, 1}, {2}, {1}, none: row 2 meets rows 0 and 1,
+        # row 4 meets row 2, row 3 and the empty row 5 meet nothing.
+        support = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
+        matrix = np.concatenate([support * 0.5, np.ones((6, 1))], axis=1)
+        assert association._levels(matrix) == [[0, 1, 3, 5], [2], [4]]
+        dense = np.ones((4, 3))
+        assert association._levels(dense) == [[0], [1], [2], [3]]
+        assert association._levels(np.ones((3, 1))) == [[0, 1, 2]]
+        assert association._levels(np.ones((0, 4))) == []
+
+    def test_rejects_a_row_sum_that_overflows(self):
+        # Finite entries whose sum is inf would make every cdf NaN and pick
+        # column 0 whether or not it has mass.
+        matrix = np.array([[0.0, 1e308, 1e308, 1.0]])
+        with pytest.raises(ValueError, match="finite sums"):
+            rbpf_step(ParticleSet.initial(2), matrix, np.random.default_rng(0))
+
+
+class TestTrackerWithReferenceSampler:
+    def test_crowd_clip_writes_identical_tracks(self, monkeypatch):
+        # A short clip of the 32-person circling crowd, whose gated frames
+        # span several dependency levels.
+        data = generate(SynthConfig(persons=32, frames=12, sigma_det=2.0, kappa=0.8,
+                                    sigma=0.3, seed=0))
+        config = TrackerConfig(mode="pos_app", gallery="orient", bins=5, particles=20,
+                               q=2.0, seed=0)
+        matrices = []
+        batched = association.rbpf_step
+
+        def recording(ps, matrix, rng):
+            matrices.append(matrix)
+            return batched(ps, matrix, rng)
+
+        def track():
+            return write_tracks(run_sequence(config, data.det_text, data.features_text,
+                                             data.keypoints_text))
+
+        monkeypatch.setattr(association, "rbpf_step", recording)
+        text = track()
+        assert max(len(association._levels(m)) for m in matrices) > 2
+        monkeypatch.setattr(association, "rbpf_step", reference_rbpf_step)
+        assert track() == text
 
 
 class TestRbpfDrawContract:

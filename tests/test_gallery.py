@@ -274,10 +274,10 @@ class TestArrayStoreMatchesReference:
         strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
         bins=st.integers(1, 4),
         seed=st.integers(0, 2**16),
-        # Distinct persons within a block, so its (person, bin) keys are distinct.
+        # Persons may repeat within a block, and so may (person, bin) keys.
         blocks=st.lists(
             st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), grid_vectors),
-                     max_size=6, unique_by=lambda t: t[0]),
+                     max_size=6),
             max_size=8,
         ),
     )
@@ -315,14 +315,21 @@ class TestArrayStoreMatchesReference:
 
 class TestInsertBlock:
     @pytest.mark.parametrize("strategy", ["averaged", "random", "orient"])
-    def test_repeated_key_raises_and_stores_nothing(self, strategy):
-        g = Gallery(strategy, bins=1)
-        g.insert(3, np.array([1.0, 2.0]), bin=0)
-        with pytest.raises(ValueError, match="repeats"):
-            g.insert_block([4, 4], np.array([[0.0, 1.0], [2.0, 3.0]]), [0, 0])
-        assert g.stored_vectors() == 1
-        np.testing.assert_array_equal(g._vectors[0], [1.0, 2.0])
-        assert g._counts[0] == 1
+    def test_repeated_keys_equal_single_inserts(self, strategy):
+        # Keys (4, 0) three times and (3, 0) twice: three rounds, one new row.
+        persons = [4, 3, 4, 4, 3]
+        feats = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 8.0], [1.0, 1.0], [5.0, 0.5]])
+        g, singles = Gallery(strategy, bins=1), Gallery(strategy, bins=1)
+        for gallery in (g, singles):
+            gallery.insert(3, np.array([1.0, 2.0]), bin=0)
+        g.insert_block(persons, feats, [0] * len(persons))
+        for person, feat in zip(persons, feats):
+            singles.insert(person, feat, bin=0)
+        assert g.stored_vectors() == singles.stored_vectors() == 2
+        np.testing.assert_array_equal(g._vectors[:2], singles._vectors[:2])
+        np.testing.assert_array_equal(g._counts[:2], [3, 3])
+        np.testing.assert_array_equal(g._vectors[1], (feats[0] + feats[2] + feats[3]) / 3)
+        assert g._row_of == singles._row_of == {(3, 0): 0, (4, 0): 1}
 
     def test_full_takes_repeated_persons(self):
         g = Gallery("full")

@@ -165,6 +165,33 @@ class TestParseKeypoints:
             parse_keypoints(good + "\n" + line)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "frame, det_index, keypoint, message",
+        [
+            ("1", "1", "9" * 400, "float range"),
+            ("1", "1", "-" + "9" * 400, "float range"),
+            ("1", "1", "9" * 5000, "too many digits"),
+            ("9" * 5000, "1", "0", "too many digits"),
+            (str(2**53), "1", "0", "frame out of range"),
+            ("1", str(2**53), "0", "det_index out of range"),
+        ],
+        ids=["keypoint-400-digits", "keypoint-minus-400-digits", "keypoint-5000-digits",
+             "frame-5000-digits", "frame-2**53", "det_index-2**53"],
+    )
+    def test_oversized_number_is_positioned(self, frame, det_index, keypoint, message):
+        good = '{"frame":1,"det_index":0,"keypoints":' + str([[0, 0, 0]] * 18) + "}"
+        kps = "[[" + keypoint + ", 0, 0]" + ", [0, 0, 0]" * 17 + "]"
+        line = f'{{"frame":{frame},"det_index":{det_index},"keypoints":{kps}}}'
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_keypoints(good + "\n" + line)
+        assert exc.value.line == 2
+
+    def test_largest_integer_ids_are_accepted(self):
+        kps = str([[0, 0, 0]] * 18)
+        line = f'{{"frame":{2**53 - 1},"det_index":{2**53 - 1},"keypoints":{kps}}}'
+        (record,) = parse_keypoints(line)
+        assert (record.frame, record.det_index) == (2**53 - 1, 2**53 - 1)
+
     def test_duplicate_key_is_positioned(self):
         # As in parse_features: a dict keyed by (frame, det_index) would keep the last row.
         kps = str([[0, 0, 0]] * 18)
