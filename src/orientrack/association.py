@@ -11,7 +11,7 @@ a time.  A row's support is its set of real-track columns with mass; two rows
 depend on each other when their supports meet, and a row's level is one more
 than the highest level among the earlier rows it depends on (0 if none).
 Rows of one level have disjoint supports, so all particles sample them in one
-batch with the arithmetic of the row-by-row loop.
+batch with the row-by-row loop's arithmetic, level 0 (no taken column) once for all.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ def appearance_likelihood(
     floor = np.exp(-d0_app)
     matrix = np.full((len(features), len(track_ids) + 1), floor)
     distances = gallery.distances(features, track_ids)
-    stored = np.isfinite(distances)
-    matrix[:, :-1][stored] = np.exp(-distances[stored])
+    matrix[:, :-1] = np.where(np.isfinite(distances), np.exp(-distances), floor)
     return _normalize_rows(matrix)
 
 
@@ -191,12 +190,12 @@ def rbpf_step(
     ``ValueError`` if ``matrix`` has a negative entry or a row whose sum is not
     finite (a non-finite entry, or a sum that overflows).
 
-    Rows are sampled one dependency level at a time (see ``_levels``), each
-    level as one (P, rows, columns) batch.  This is exact: with finite row
-    sums a particle only picks a column with mass, so a real column a row
-    could see taken lies in its support, and only earlier rows of lower
-    levels can take it.  Each row thus reads the taken columns the row-by-row
-    loop gives it, and the weight factors are multiplied in row order.
+    Rows are sampled by dependency level (``_levels``): level 0, which reads no
+    taken column, once for all particles as (rows, columns) arrays, and each
+    later level as one (P, rows, columns) batch.  Exact: with finite row sums a
+    particle only picks a column with mass, so a real column a row could see
+    taken lies in its support, and only earlier rows of lower levels take it.
+    Each row sees the row loop's taken columns; factors multiply in row order.
     """
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1
@@ -215,20 +214,20 @@ def rbpf_step(
         uniforms = rng.random((particles, n_det, 1))[:, order]
         picked = np.empty((particles, n_det), dtype=np.int64)
         # 0.0 where a particle took a real column: entries are finite and >= 0,
-        # so a row times ``free`` zeroes the taken ones exactly.  A row with no
-        # mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
+        # so a row times ``free`` zeroes the taken ones exactly; level 0 skips it.
+        # A row with no mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
         free = np.ones((particles, n_cols))
         rows = np.arange(particles)[:, None]
         start = 0
         for level in levels:
             end = start + len(level)
-            probs = ordered[start:end] * free[:, None]
+            probs = ordered[start:end] * free[:, None] if start else ordered[start:end]
             # np.add.reduce/accumulate: sum and cumsum without the method wrappers.
-            total = np.add.reduce(probs, axis=2, keepdims=True)
-            cdf = np.add.accumulate(probs / total, axis=2)
+            total = np.add.reduce(probs, axis=-1, keepdims=True)
+            cdf = np.add.accumulate(probs / total, axis=-1)
             cdf /= cdf[..., -1:]
             cols = np.add.reduce(cdf <= uniforms[:, start:end], axis=2)
-            cols[total[..., 0] <= 0.0] = new_col
+            np.copyto(cols, new_col, where=total[..., 0] <= 0.0)
             picked[:, start:end] = cols
             free[rows, cols] = cols == new_col
             start = end
@@ -243,16 +242,12 @@ def rbpf_step(
     )[:, -1]
 
     total = weights.sum()
-    if total <= 0.0:
-        weights = np.full(particles, 1.0 / particles)
-    else:
-        weights = weights / total
+    weights = np.full(particles, 1.0 / particles) if total <= 0.0 else weights / total
 
     consensus = assignments[int(np.argmax(weights))].copy()
 
     if effective_sample_size(weights) < particles / 2.0:
-        indices = systematic_resample(weights, rng)
-        assignments = assignments[indices]
+        assignments = assignments[systematic_resample(weights, rng)]
         weights = np.full(particles, 1.0 / particles)
 
     return ParticleSet(assignments=assignments, weights=weights), consensus

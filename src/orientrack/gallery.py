@@ -8,7 +8,8 @@ Strategies:
 
 All four share one store: a ``(rows, d)`` vector matrix with an owner id and
 an insert count per row, so binned memory is proportional to persons x bins.
-``distances`` reads it as one detections x persons nearest-row matrix.
+``distances`` reads only the asked-for persons' rows (a retired track's stay
+stored), by owner segments, into one detections x persons nearest-row matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from typing import Sequence
 import numpy as np
 
 STRATEGIES = ("full", "averaged", "random", "orient")
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean norm of ``a - b`` over the last axis, as ``np.linalg.norm`` sums it."""
+    diff = a - b
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 class Gallery:
@@ -136,20 +143,19 @@ class Gallery:
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
 
-        Returns a (len(features), len(persons)) matrix; a person without
-        stored rows gets ``inf`` in its column.
+        Returns a (len(features), len(persons)) matrix, ``inf`` for a person
+        without rows; one ``np.minimum.reduceat`` over the owner segments takes the minima.
         """
-        if not len(features):
-            return np.empty((0, len(persons)))
-        feats = self._block(features)
-        wanted, column = np.unique(np.asarray(persons, dtype=np.int64), return_inverse=True)
-        out = np.full((len(feats), len(wanted)), np.inf)
-        owners = self._owners[: self._rows]
-        rows = np.isin(owners, wanted)
-        if rows.any():
-            dist = np.linalg.norm(self._vectors[: self._rows][rows] - feats[:, None, :], axis=2)
-            np.minimum.at(out, (slice(None), np.searchsorted(wanted, owners[rows])), dist)
-        return out[:, column]
+        feats = self._block(features) if len(features) else None
+        owners, wanted = self._owners[: self._rows], np.sort(persons)
+        rows = np.flatnonzero(np.searchsorted(wanted, owners, "right") > np.searchsorted(wanted, owners))
+        if feats is None or not len(rows):
+            return np.full((len(features), len(persons)), np.inf)
+        rows = rows[np.argsort(owners[rows], kind="stable")]
+        owners, heads = np.unique(owners[rows], return_index=True)
+        nearest = np.minimum.reduceat(_distance(self._vectors[rows], feats[:, None]), heads, axis=1)
+        segment = np.searchsorted(owners, persons).clip(max=len(owners) - 1)
+        return np.where(owners[segment] == persons, nearest[:, segment], np.inf)
 
     def min_distance(self, person: int, feat: np.ndarray) -> float:
         """Euclidean distance from feat to the person's nearest stored feature."""
@@ -162,8 +168,7 @@ class Gallery:
         """Person minimizing min_distance; ties broken by smallest person id."""
         if self._rows == 0:
             raise KeyError("empty gallery")
-        feat = self._block([feat])[0]
-        dist = np.linalg.norm(self._vectors[: self._rows] - feat, axis=1)
+        dist = _distance(self._vectors[: self._rows], self._block([feat])[0])
         best = dist.min()
         return int(self._owners[: self._rows][dist == best].min()), float(best)
 

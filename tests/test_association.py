@@ -21,6 +21,7 @@ from orientrack.gallery import Gallery
 from orientrack.io_formats import write_tracks
 from orientrack.synth import SynthConfig, generate
 from orientrack.tracker import TrackerConfig, run_sequence
+from test_gallery import reference_distances
 
 
 def stacked(states):
@@ -383,6 +384,26 @@ class TestLevelledSamplerMatchesReference:
         assert association._levels(np.ones((3, 1))) == [[0, 1, 2]]
         assert association._levels(np.ones((0, 4))) == []
 
+    def test_empty_level_0_row_takes_new_track_in_every_particle(self):
+        # Rows 0, 1 and 2 form level 0; row 1 has no mass at all, NEW_TRACK
+        # included.  Row 3 meets row 0's support, so it is level 1.
+        matrix = np.array([
+            [0.6, 0.0, 0.0, 0.4],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.7, 0.3],
+            [0.5, 0.3, 0.0, 0.2],
+        ])
+        assert association._levels(matrix) == [[0, 1, 2], [3]]
+        ps = expected_ps = ParticleSet.initial(6)
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        ps, consensus = rbpf_step(ps, matrix, rng)
+        expected_ps, expected = reference_rbpf_step(expected_ps, matrix, reference_rng)
+        assert np.all(ps.assignments[:, 1] == 3)
+        np.testing.assert_array_equal(ps.assignments, expected_ps.assignments)
+        np.testing.assert_array_equal(ps.weights, expected_ps.weights)
+        np.testing.assert_array_equal(consensus, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_rejects_a_row_sum_that_overflows(self):
         # Finite entries whose sum is inf would make every cdf NaN and pick
         # column 0 whether or not it has mass.
@@ -394,26 +415,35 @@ class TestLevelledSamplerMatchesReference:
 class TestTrackerWithReferenceSampler:
     def test_crowd_clip_writes_identical_tracks(self, monkeypatch):
         # A short clip of the 32-person circling crowd, whose gated frames
-        # span several dependency levels.
+        # span several dependency levels and whose persons hold several
+        # orientation-bin rows each.  The reference run samples with one
+        # rng.choice per row and reads the gallery with one norm per pair.
         data = generate(SynthConfig(persons=32, frames=12, sigma_det=2.0, kappa=0.8,
                                     sigma=0.3, seed=0))
         config = TrackerConfig(mode="pos_app", gallery="orient", bins=5, particles=20,
                                q=2.0, seed=0)
-        matrices = []
-        batched = association.rbpf_step
+        matrices, owners = [], []
+        batched, segmented = association.rbpf_step, Gallery.distances
 
         def recording(ps, matrix, rng):
             matrices.append(matrix)
             return batched(ps, matrix, rng)
+
+        def recording_distances(gallery, features, persons):
+            owners.append(gallery._owners[: gallery._rows].copy())
+            return segmented(gallery, features, persons)
 
         def track():
             return write_tracks(run_sequence(config, data.det_text, data.features_text,
                                              data.keypoints_text))
 
         monkeypatch.setattr(association, "rbpf_step", recording)
+        monkeypatch.setattr(Gallery, "distances", recording_distances)
         text = track()
         assert max(len(association._levels(m)) for m in matrices) > 2
+        assert max(np.bincount(o).max() for o in owners if len(o)) > 1
         monkeypatch.setattr(association, "rbpf_step", reference_rbpf_step)
+        monkeypatch.setattr(Gallery, "distances", reference_distances)
         assert track() == text
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orientrack.gallery import Gallery
 
@@ -194,6 +195,19 @@ class ReferenceGallery:
         return best_person, best
 
 
+def reference_distances(gallery, features, persons):
+    """One ``np.linalg.norm`` per (feature, person) pair over the person's
+    stored rows, then their minimum; ``inf`` for a person without rows."""
+    vectors, owners = gallery._vectors[: gallery._rows], gallery._owners[: gallery._rows]
+    out = np.full((len(features), len(persons)), np.inf)
+    for i, feat in enumerate(features):
+        for j, person in enumerate(persons):
+            rows = vectors[owners == person]
+            if len(rows):
+                out[i, j] = np.linalg.norm(rows - feat, axis=-1).min()
+    return out
+
+
 def reference_appearance_likelihood(gallery, features, track_ids, d0_app):
     """Per-pair loop over min_distance with a KeyError floor, then per-row normalisation."""
     floor = np.exp(-d0_app)
@@ -311,6 +325,40 @@ class TestArrayStoreMatchesReference:
         drawn = block.integers(bins, size=50).tolist()
         assert drawn == [int(single.integers(bins)) for _ in range(50)]
         assert block.bit_generator.state == single.bit_generator.state
+
+
+# Wide magnitudes, so that the order in which the squares are summed shows in
+# the last bits.
+wide_floats = st.floats(-1e100, 1e100) | st.floats(-10.0, 10.0)
+
+
+class TestDistancesSummationOrder:
+    @given(
+        data=st.data(),
+        # numpy sums a contiguous axis of 8 or more in 8 interleaved partial sums.
+        dim=st.integers(1, 20),
+        owners=st.lists(st.integers(0, 6), max_size=12),
+        n_queries=st.integers(0, 4),
+        # Persons 7 and 8 are never stored; any person may repeat.
+        persons=st.lists(st.integers(0, 8), max_size=10),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_distances_equal_per_pair_norm_bytes(self, data, dim, owners, n_queries, persons):
+        vectors = data.draw(arrays(np.float64, (len(owners), dim), elements=wide_floats))
+        queries = data.draw(arrays(np.float64, (n_queries, dim), elements=wide_floats))
+        g = Gallery("full")
+        g.insert_block(owners, vectors)
+        distances = g.distances(queries, persons)
+        expected = reference_distances(g, queries, persons)
+        assert distances.shape == expected.shape
+        assert distances.tobytes() == expected.tobytes()
+        # nearest_person shares the distance arithmetic: the smallest id among
+        # the stored persons at the minimum distance.
+        stored = sorted(set(owners))
+        if stored:
+            for query, row in zip(queries, reference_distances(g, queries, stored)):
+                best = row.min()
+                assert g.nearest_person(query) == (stored[int(np.argmax(row == best))], best)
 
 
 class TestInsertBlock:
