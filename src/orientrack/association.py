@@ -11,7 +11,8 @@ a time.  A row's support is its set of real-track columns with mass; two rows
 depend on each other when their supports meet, and a row's level is one more
 than the highest level among the earlier rows it depends on (0 if none).
 Rows of one level have disjoint supports, so all particles sample them in one
-batch with the row-by-row loop's arithmetic, level 0 (no taken column) once for all.
+batch with the row-by-row loop's arithmetic, level 0 (no taken column) once for
+all; each level gathers its rows and writes its picks back by row index.
 """
 
 from __future__ import annotations
@@ -205,34 +206,25 @@ def rbpf_step(
             raise ValueError(
                 "association matrix rows must have finite sums and no negative entry"
             )
-        levels = _levels(matrix)
-        # Rows sorted by level, so that each level is a slice; ``picked`` is
-        # scattered back to row order at the end.
-        order = np.array([i for level in levels for i in level], dtype=np.intp)
-        ordered = matrix[order]
         # (P, n, 1) is the (P, n) particle-major stream with a trailing axis.
-        uniforms = rng.random((particles, n_det, 1))[:, order]
-        picked = np.empty((particles, n_det), dtype=np.int64)
+        uniforms = rng.random((particles, n_det, 1))
+        assignments = np.empty((particles, n_det), dtype=np.int64)
         # 0.0 where a particle took a real column: entries are finite and >= 0,
         # so a row times ``free`` zeroes the taken ones exactly; level 0 skips it.
         # A row with no mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
         free = np.ones((particles, n_cols))
-        rows = np.arange(particles)[:, None]
-        start = 0
-        for level in levels:
-            end = start + len(level)
-            probs = ordered[start:end] * free[:, None] if start else ordered[start:end]
-            # np.add.reduce/accumulate: sum and cumsum without the method wrappers.
+        each = np.arange(particles)[:, None]
+        for k, rows in enumerate(map(np.array, _levels(matrix))):
+            level = matrix.take(rows, axis=0)
+            probs = level * free[:, None] if k else level
+            # take, np.add.reduce/accumulate: a row gather, sum and cumsum, cheaper per call.
             total = np.add.reduce(probs, axis=-1, keepdims=True)
             cdf = np.add.accumulate(probs / total, axis=-1)
             cdf /= cdf[..., -1:]
-            cols = np.add.reduce(cdf <= uniforms[:, start:end], axis=2)
+            cols = np.add.reduce(cdf <= uniforms.take(rows, axis=1), axis=2)
             np.copyto(cols, new_col, where=total[..., 0] <= 0.0)
-            picked[:, start:end] = cols
-            free[rows, cols] = cols == new_col
-            start = end
-    assignments = np.empty_like(picked)
-    assignments[:, order] = picked
+            assignments[:, rows] = cols
+            free[each, cols] = cols == new_col
     # One sequential product over [weight | factors in row order], as the
     # row-by-row loop's ``weights *= factor``; a pairwise reduce would
     # multiply in another order.

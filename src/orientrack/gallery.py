@@ -8,8 +8,8 @@ Strategies:
 
 All four share one store: a ``(rows, d)`` vector matrix with an owner id and
 an insert count per row, so binned memory is proportional to persons x bins.
-``distances`` reads only the asked-for persons' rows (a retired track's stay
-stored), by owner segments, into one detections x persons nearest-row matrix.
+``discard`` drops a person's rows, and ``distances`` reads every stored row, by
+owner segments, into one detections x persons nearest-row matrix.
 """
 
 from __future__ import annotations
@@ -140,19 +140,28 @@ class Gallery:
         self._rows = end
         return start
 
+    def discard(self, persons: Sequence[int]) -> None:
+        """Drop every row of ``persons``; the other rows keep their order and counts."""
+        kept = np.flatnonzero(~np.isin(self._owners[: self._rows], persons))
+        if len(kept) == self._rows:
+            return
+        for store in (self._vectors, self._owners, self._counts):
+            store[: len(kept)] = store[kept]
+        moved = dict(zip(kept.tolist(), range(len(kept))))
+        self._row_of = {key: moved[row] for key, row in self._row_of.items() if row in moved}
+        self._rows = len(kept)
+
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
 
         Returns a (len(features), len(persons)) matrix, ``inf`` for a person
-        without rows; one ``np.minimum.reduceat`` over the owner segments takes the minima.
+        without rows; one ``np.minimum.reduceat`` over every owner's segment takes the minima.
         """
         feats = self._block(features) if len(features) else None
-        owners, wanted = self._owners[: self._rows], np.sort(persons)
-        rows = np.flatnonzero(np.searchsorted(wanted, owners, "right") > np.searchsorted(wanted, owners))
-        if feats is None or not len(rows):
+        if feats is None or not self._rows:
             return np.full((len(features), len(persons)), np.inf)
-        rows = rows[np.argsort(owners[rows], kind="stable")]
-        owners, heads = np.unique(owners[rows], return_index=True)
+        rows = np.argsort(self._owners[: self._rows], kind="stable")
+        owners, heads = np.unique(self._owners[rows], return_index=True)
         nearest = np.minimum.reduceat(_distance(self._vectors[rows], feats[:, None]), heads, axis=1)
         segment = np.searchsorted(owners, persons).clip(max=len(owners) - 1)
         return np.where(owners[segment] == persons, nearest[:, segment], np.inf)

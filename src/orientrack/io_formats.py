@@ -98,6 +98,22 @@ def _parse_float(raw: str, line_no: int, name: str) -> float:
     return value
 
 
+def _check_key(line_no: int, frame, det_index, seen) -> tuple[int, int]:
+    """Check a feature or keypoint row's ``(frame, det_index)`` key, not yet in ``seen``."""
+    # JSON true/false load as bool, a subclass of int: test the exact type.
+    if type(frame) is not int or frame < 1:
+        raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
+    if frame >= 2**53:  # the range _parse_int gives the CSV parsers
+        raise ParseError(line_no, f"frame out of range: {frame!r}")
+    if type(det_index) is not int or det_index < 0:
+        raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
+    if det_index >= 2**53:
+        raise ParseError(line_no, f"det_index out of range: {det_index!r}")
+    if (frame, det_index) in seen:
+        raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
+    return frame, det_index
+
+
 def parse_mot(text: str) -> list[DetectionRecord]:
     """Parse MOT CSV text into detection records, in file order.
 
@@ -163,19 +179,11 @@ def parse_features(text: str) -> FeatureTable:
                 line_no, f"expected {2 + dim} fields (dim={dim}), got {len(fields)}"
             )
         frame = _parse_int(fields[0], line_no, "frame")
-        det_index = _parse_int(fields[1], line_no, "det_index")
-        if frame < 1:
-            raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
-        if det_index < 0:
-            raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
-        key = (frame, det_index)
-        if key in entries:
-            raise ParseError(line_no, f"duplicate key {key}")
-        vector = np.array(
+        key = _check_key(line_no, frame, _parse_int(fields[1], line_no, "det_index"), entries)
+        entries[key] = np.array(
             [_parse_float(f, line_no, "feature value") for f in fields[2:]],
             dtype=np.float64,
         )
-        entries[key] = vector
     return FeatureTable(dim=dim, entries=entries)
 
 
@@ -199,18 +207,7 @@ def parse_keypoints(text: str) -> list[KeypointRecord]:
             keypoints = obj["keypoints"]
         except (KeyError, TypeError):
             raise ParseError(line_no, "expected frame/det_index/keypoints object") from None
-        # JSON true/false load as bool, a subclass of int: test the exact type.
-        if type(frame) is not int or frame < 1:
-            raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
-        if frame >= 2**53:  # the range _parse_int gives the CSV parsers
-            raise ParseError(line_no, f"frame out of range: {frame!r}")
-        if type(det_index) is not int or det_index < 0:
-            raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
-        if det_index >= 2**53:
-            raise ParseError(line_no, f"det_index out of range: {det_index!r}")
-        if (frame, det_index) in seen:
-            raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
-        seen.add((frame, det_index))
+        seen.add(_check_key(line_no, frame, det_index, seen))
         try:
             array = np.array(keypoints, dtype=np.float64)
         except (TypeError, ValueError):

@@ -6,8 +6,8 @@ two count vectors the matches (hits) and the unmatched frames since the
 last match (misses).  Each frame makes one batched predict and one batched
 update of the matched rows, and handles its detections' measurements,
 features, orientation bins, gallery insert and emitted records as one block
-each.  A track is emitted once it has
-``confirm_hits`` hits and dropped after more than ``max_age`` misses.
+each.  A track is emitted once it has ``confirm_hits`` hits and dropped after
+more than ``max_age`` misses; its gallery rows go with its Kalman rows.
 
 Association runs a particle set whose assignments are re-sampled from
 scratch every frame (only weights carry over; ROADMAP.md item 2).  Filters
@@ -175,13 +175,14 @@ class Tracker:
         return emitted
 
     def _retire_and_spawn(self, born: np.ndarray) -> np.ndarray:
-        """Drop rows with more than max_age misses, append a track per (4,) row of
-        ``born``, and return the new ids."""
+        """Drop tracks with more than max_age misses and their gallery rows, append
+        a track per (4,) row of ``born``, and return the new ids."""
         keep = self._misses <= self.config.max_age
         ids = np.arange(self._next_id, self._next_id + len(born), dtype=np.int64)
         if not len(ids) and keep.all():
             return ids
         self._next_id += len(born)
+        self._gallery.discard(self.tracks[~keep])
         fresh = filtering.initial_state(born)
         self._state = filtering.TrackState(
             mean=np.concatenate([self._state.mean[keep], fresh.mean]),

@@ -411,3 +411,79 @@ class TestNonFinite:
             g.nearest_person(np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
             g.distances([np.array([0.0, np.inf])], [1])
+
+
+def stored_state(g):
+    """What a gallery's later reads and inserts depend on."""
+    rows = g._rows
+    return (g._vectors[:rows].tolist(), g._owners[:rows].tolist(), g._counts[:rows].tolist(),
+            g._row_of, g._rng.bit_generator.state)
+
+
+# Rows of one block: (person, bin, feature), persons 0-3.
+kept_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), grid_vectors), max_size=6)
+
+
+class TestDiscard:
+    def test_rows_keep_their_order_and_counts(self):
+        g = Gallery("orient", bins=2)
+        g.insert_block([1, 2, 1, 3, 2], [[1.0], [2.0], [3.0], [4.0], [5.0]], [0, 0, 1, 1, 1])
+        g.insert(3, np.array([6.0]), bin=1)
+        g.discard([2])
+        assert g._owners[: g._rows].tolist() == [1, 1, 3]
+        assert g._vectors[: g._rows, 0].tolist() == [1.0, 3.0, 5.0]
+        assert g._counts[: g._rows].tolist() == [1, 1, 2]
+        assert g._row_of == {(1, 0): 0, (1, 1): 1, (3, 1): 2}
+        g.insert(3, np.array([8.0]), bin=1)
+        assert g._vectors[2, 0] == 6.0 and g._counts[2] == 3
+
+    @given(
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        # Each block holds kept persons only, or (shifted by 4) discarded ones only.
+        blocks=st.lists(st.tuples(st.booleans(), kept_rows), max_size=8),
+        later=kept_rows,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_gallery_of_the_kept_persons(self, strategy, bins, seed, blocks, later):
+        g, kept = Gallery(strategy, bins=bins, seed=seed), Gallery(strategy, bins=bins, seed=seed)
+        for dropped, block in blocks:
+            persons = [person + 4 * dropped for person, _, _ in block]
+            feats = np.array([feat for _, _, feat in block]).reshape(len(block), 3)
+            g.insert_block(persons, feats, [b % bins for _, b, _ in block])
+            if not dropped:
+                kept.insert_block(persons, feats, [b % bins for _, b, _ in block])
+            elif strategy == "random":
+                # The draws ``g`` spent on the discarded rows (one per row).
+                kept._rng.integers(bins, size=len(block))
+        g.discard([4, 5, 6, 7])
+        assert stored_state(g) == stored_state(kept)
+        # Later inserts land where they land in a gallery that never held 4-7.
+        for gallery in (g, kept):
+            gallery.insert_block([p for p, _, _ in later],
+                                 np.array([f for _, _, f in later]).reshape(len(later), 3),
+                                 [b % bins for _, b, _ in later])
+        assert stored_state(g) == stored_state(kept)
+
+    @pytest.mark.parametrize("strategy", ["full", "averaged", "random", "orient"])
+    def test_absent_person_is_a_no_op(self, strategy):
+        g = Gallery(strategy, bins=3, seed=5)
+        g.discard([1])
+        assert g.stored_vectors() == 0
+        g.insert_block([1, 2, 1], np.eye(3), [0, 1, 2])
+        before = stored_state(g)
+        g.discard([7])
+        g.discard([])
+        assert stored_state(g) == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_later_bins_ignore_the_discarded_persons(self, seed):
+        g, never = Gallery("random", bins=5, seed=seed), Gallery("random", bins=5, seed=seed)
+        g.insert_block([1, 2, 9, 9], np.arange(8.0).reshape(4, 2))
+        never.insert_block([1, 2], np.arange(4.0).reshape(2, 2))
+        never._rng.integers(5, size=2)  # the draws ``g`` spent on person 9's rows
+        g.discard([9])
+        for gallery in (g, never):
+            gallery.insert_block(np.arange(20) % 4, np.ones((20, 2)))
+        assert stored_state(g) == stored_state(never)

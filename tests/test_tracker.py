@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +253,54 @@ class TestGalleryGrowth:
         persons = len(np.unique(gallery._owners[: gallery._rows]))
         assert gallery.stored_vectors() <= persons * 4
 
+    def test_binned_gallery_follows_the_live_tracks(self):
+        # Frames 25-34 are empty, so every track born before them retires.
+        cfg = SynthConfig(persons=3, frames=60, kappa=0.5, seed=2)
+        data = generate(cfg)
+        tracker = Tracker(TrackerConfig(bins=4, gallery="orient", max_age=5))
+        features = parse_features(data.features_text)
+        keypoints = {
+            (k.frame, k.det_index): k for k in parse_keypoints(data.keypoints_text)
+        }
+        by_frame = group_by_frame(parse_mot(data.det_text))
+        for frame in range(1, cfg.frames + 1):
+            detections = [] if 25 <= frame < 35 else by_frame.get(frame, [])
+            tracker.process_frame(frame, detections, features, keypoints)
+            if frame == 24:
+                before = tracker.tracks.tolist()
+        assert before and min(tracker.tracks) > max(before)
+        assert tracker.gallery.stored_vectors() <= len(tracker.tracks) * 4
+
+
+class TestRetiredTracksLeaveTheGallery:
+    @pytest.mark.parametrize("mode", [association.POS_APP, association.APP_ONLY])
+    def test_owners_are_the_live_tracks_through_a_gap(self, mode, monkeypatch):
+        # A crowd clip whose frames 10-15 are empty: more than max_age misses.
+        frames, gap = 24, range(10, 16)
+        data = generate(SynthConfig(persons=32, frames=frames, sigma_det=2.0, kappa=0.8,
+                                    sigma=0.3, seed=4))
+        features = parse_features(data.features_text)
+        keypoints = {(k.frame, k.det_index): k for k in parse_keypoints(data.keypoints_text)}
+        by_frame = group_by_frame(parse_mot(data.det_text))
+
+        def run(check):
+            tracker = Tracker(TrackerConfig(mode=mode, bins=5, max_age=3, seed=1))
+            out = []
+            for frame in range(1, frames + 1):
+                detections = [] if frame in gap else by_frame[frame]
+                out += tracker.process_frame(frame, detections, features, keypoints)
+                owners = tracker.gallery._owners[: tracker.gallery._rows]
+                if check:
+                    assert np.unique(owners).tolist() == tracker.tracks.tolist()
+            return write_tracks(sorted(out, key=lambda r: (r.frame, r.id))), tracker.gallery
+
+        text, gallery = run(check=True)
+        monkeypatch.setattr(Gallery, "discard", lambda self, persons: None)
+        kept_text, kept = run(check=False)
+        assert text == kept_text
+        # Without discard the retired tracks' rows would still be stored.
+        assert kept.stored_vectors() > gallery.stored_vectors() > 0
+
 
 class TestConfigParsing:
     def test_round_trip(self):
@@ -484,3 +533,110 @@ class TestArrayTracksMatchReference:
             expected = reference.process_frame(frame, by_frame[frame], features, keypoints)
             assert got == expected
             assert tracker.tracks.tolist() == [t.track_id for t in reference.tracks]
+
+
+# Boxes within [-1e4, 1e4] px with sides in [1, 1e3] px.
+fuzz_box = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                     st.floats(1.0, 1e3), st.floats(1.0, 1e3))
+
+
+@st.composite
+def detection_streams(draw):
+    """Per frame ``(boxes, hole)``: the frame's boxes, in det-file order, and the
+    ``(table, det_index)`` left out of the feature or keypoint file, or None.
+
+    Boxes come from a few walkers that move a little each frame, from fresh
+    random boxes and from copies of the frame's first box; a frame may be
+    empty, and several empty frames in a row outlive ``max_age``.
+    """
+    walkers = draw(st.lists(fuzz_box, min_size=1, max_size=4))
+    frames = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 3)) == 0:
+            frames.append(([], None))
+            continue
+        step = draw(st.floats(-20.0, 20.0))
+        boxes = [(l + step, t - step, w, h) for l, t, w, h in walkers if draw(st.booleans())]
+        boxes += draw(st.lists(fuzz_box, max_size=2))
+        if boxes and draw(st.booleans()):
+            boxes.append(boxes[0])
+        hole = None
+        if boxes and draw(st.integers(0, 4)) == 0:
+            hole = (draw(st.sampled_from(["feature", "keypoints"])),
+                    draw(st.integers(0, len(boxes) - 1)))
+        frames.append((boxes, hole))
+    return frames
+
+
+def stream_texts(frames, seed):
+    """Detection, feature and keypoint file texts for a stream; every third
+    keypoint row has all confidences 0."""
+    rng = np.random.default_rng(seed)
+    dets, feats, points = [], ["# dim=3"], []
+    for frame, (boxes, hole) in enumerate(frames, start=1):
+        for i, (l, t, w, h) in enumerate(boxes):
+            dets.append(f"{frame},-1,{l!r},{t!r},{w!r},{h!r},1.0,-1,-1,-1")
+            if hole != ("feature", i):
+                feats.append(f"{frame},{i}," + ",".join(map(repr, rng.normal(size=3).tolist())))
+            if hole != ("keypoints", i):
+                xy = rng.uniform((l, t), (l + w, t + h), size=(18, 2))
+                conf = rng.uniform(size=(18, 1)) * (len(points) % 3 != 0)
+                points.append(json.dumps({"frame": frame, "det_index": i,
+                                          "keypoints": np.hstack([xy, conf]).tolist()}))
+    return "\n".join(dets), "\n".join(feats), "\n".join(points)
+
+
+class TestFuzzedStreams:
+    @given(
+        frames=detection_streams(),
+        mode=st.sampled_from(association.MODES),
+        gallery=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        particles=st.integers(1, 4),
+        confirm_hits=st.integers(1, 3),
+        max_age=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_process_frame_keeps_its_contract(
+        self, frames, mode, gallery, bins, particles, confirm_hits, max_age, seed
+    ):
+        config = TrackerConfig(mode=mode, gallery=gallery, bins=bins, particles=particles,
+                               confirm_hits=confirm_hits, max_age=max_age, seed=seed)
+        det_text, features_text, keypoints_text = stream_texts(frames, seed)
+        # As run_sequence builds its inputs.
+        by_frame = group_by_frame(parse_mot(det_text))
+        features = parse_features(features_text)
+        keypoints = {(k.frame, k.det_index): k for k in parse_keypoints(keypoints_text)}
+
+        def run():
+            tracker, out, errors = Tracker(config), [], []
+            seen, retired = set(), set()
+            for frame, (_, hole) in enumerate(frames, start=1):
+                needed = hole is not None and mode != association.POS_ONLY and (
+                    hole[0] == "feature" or gallery == "orient")
+                try:
+                    emitted = tracker.process_frame(
+                        frame, by_frame.get(frame, []), features, keypoints)
+                except MissingInputError as exc:
+                    assert needed and (exc.frame, exc.det_index) == (frame, hole[1])
+                    errors.append(frame)
+                    continue
+                assert not needed
+                ids = [r.id for r in emitted]
+                assert len(ids) == len(set(ids))
+                for r in emitted:
+                    assert np.isfinite(r.box).all() and r.bb_width > 0 and r.bb_height > 0
+                live = set(tracker.tracks.tolist())
+                assert set(ids) <= live and not live & retired
+                fresh = live - seen
+                assert not fresh or not seen or min(fresh) > max(seen)
+                retired |= seen - live
+                seen |= live
+                owners = tracker.gallery._owners[: tracker.gallery._rows]
+                expected = [] if mode == association.POS_ONLY else sorted(live)
+                assert np.unique(owners).tolist() == expected
+                out += emitted
+            return write_tracks(sorted(out, key=lambda r: (r.frame, r.id))), errors
+
+        assert run() == run()
