@@ -12,6 +12,17 @@ position of the detection within its frame, in detection-file order.
 
 All parsers are total: every input either yields a value or raises a
 positioned error; nothing is returned partially.
+
+The three record parsers read their text in pieces of whole lines.  Per line
+they do only what is per line by nature: split the CSV line and map ``float``
+over its fields, or load the JSON line, then check its structure and its
+``(frame, det_index)`` key.  Each piece's values become one float block, and
+the integer, range, finiteness, confidence and ``validate`` rules run once per
+block.  Error contract: the first bad line in file order raises, with the same
+exception type, line number and message as checking every line's rules in
+order, line by line; only that one line is turned into a message.  Parsed
+feature vectors and keypoint arrays are rows of read-only blocks, one block
+per piece, so they share memory and cannot be written to.
 """
 
 from __future__ import annotations
@@ -19,7 +30,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from itertools import chain
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -76,6 +88,30 @@ class KeypointRecord:
     keypoints: np.ndarray  # (18, 3) rows of (x, y, c)
 
 
+# Characters per piece: about 100 keypoint lines.  One block per file, or
+# pieces four times this size, raised the benchmark's peak RSS.
+_CHUNK_CHARS = 1 << 15
+_MOT_FLOATS = ("bb_left", "bb_top", "bb_width", "bb_height", "conf")
+_INT_LIMIT = 2**53  # from here on a float no longer tells neighbouring integers apart
+
+
+def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``text.splitlines()`` in consecutive pieces, each with the 1-based
+    number of its first line.
+
+    A piece ends just after the first ``\\n`` at least ``_CHUNK_CHARS``
+    characters on, so every piece ends with a line break (``\\r\\n`` included)
+    and the pieces' lines are exactly the text's lines.
+    """
+    line_no, start = 1, 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield line_no, lines
+        line_no += len(lines)
+        start = end
+
+
 def _parse_int(raw: str, line_no: int, name: str) -> int:
     try:
         value = float(raw)
@@ -83,7 +119,7 @@ def _parse_int(raw: str, line_no: int, name: str) -> int:
         raise ParseError(line_no, f"non-numeric {name}: {raw!r}") from None
     if not value.is_integer():
         raise ParseError(line_no, f"{name} must be an integer, got {raw!r}")
-    if abs(value) >= 2**53:  # from here on a float no longer tells neighbouring integers apart
+    if abs(value) >= _INT_LIMIT:
         raise ParseError(line_no, f"{name} out of range: {raw!r}")
     return int(value)
 
@@ -103,15 +139,57 @@ def _check_key(line_no: int, frame, det_index, seen) -> tuple[int, int]:
     # JSON true/false load as bool, a subclass of int: test the exact type.
     if type(frame) is not int or frame < 1:
         raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
-    if frame >= 2**53:  # the range _parse_int gives the CSV parsers
+    if frame >= _INT_LIMIT:  # the range _parse_int gives the CSV parsers
         raise ParseError(line_no, f"frame out of range: {frame!r}")
     if type(det_index) is not int or det_index < 0:
         raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
-    if det_index >= 2**53:
+    if det_index >= _INT_LIMIT:
         raise ParseError(line_no, f"det_index out of range: {det_index!r}")
     if (frame, det_index) in seen:
         raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
     return frame, det_index
+
+
+def _unreachable(line_no: int) -> AssertionError:
+    """The error for a line that a block check rejects and its line rules accept."""
+    return AssertionError(f"line {line_no} failed a block check but passes its line rules")
+
+
+def _float_block(values: list, rows: int, width: int) -> np.ndarray:
+    """The (rows, width) block of the first rows * width scalars of ``values``."""
+    return np.fromiter(values, np.float64, rows * width).reshape(rows, width)
+
+
+def _read_only(blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of each block, in order, each block made read-only."""
+    for block in blocks:
+        block.flags.writeable = False
+        yield from block
+
+
+def _mot_record(line_no: int, line: str) -> DetectionRecord:
+    """One MOT line's record, checked rule by rule in order: how a bad line's
+    error is found."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) < 7:
+        raise ParseError(line_no, f"expected >= 7 fields, got {len(fields)}")
+    record = DetectionRecord(
+        _parse_int(fields[0], line_no, "frame"),
+        _parse_int(fields[1], line_no, "id"),
+        *(_parse_float(raw, line_no, name) for raw, name in zip(fields[2:7], _MOT_FLOATS)),
+    )
+    record.validate()
+    return record
+
+
+def _mot_rows_ok(block: np.ndarray) -> np.ndarray:
+    """Per row of an (m, 7) block: every value rule of ``_mot_record`` holds."""
+    keys = block[:, :2]
+    return (
+        ((np.floor(keys) == keys) & (np.abs(keys) < _INT_LIMIT)).all(axis=1)
+        & np.isfinite(block[:, 2:]).all(axis=1)
+        & (block[:, 0] >= 1) & (block[:, 4] > 0) & (block[:, 5] > 0) & (block[:, 6] >= 0)
+    )
 
 
 def parse_mot(text: str) -> list[DetectionRecord]:
@@ -121,23 +199,33 @@ def parse_mot(text: str) -> list[DetectionRecord]:
     malformed lines and ValidationError for out-of-range values.
     """
     records: list[DetectionRecord] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) < 7:
-            raise ParseError(line_no, f"expected >= 7 fields, got {len(fields)}")
-        record = DetectionRecord(
-            frame=_parse_int(fields[0], line_no, "frame"),
-            id=_parse_int(fields[1], line_no, "id"),
-            bb_left=_parse_float(fields[2], line_no, "bb_left"),
-            bb_top=_parse_float(fields[3], line_no, "bb_top"),
-            bb_width=_parse_float(fields[4], line_no, "bb_width"),
-            bb_height=_parse_float(fields[5], line_no, "bb_height"),
-            conf=_parse_float(fields[6], line_no, "conf"),
-        )
-        record.validate()
-        records.append(record)
+    for first, lines in _line_chunks(text):
+        values: list[float] = []
+        line_nos: list[int] = []
+        failed = None
+        for line_no, line in enumerate(lines, first):
+            if not line.strip():
+                continue
+            fields = line.split(",", 7)
+            if len(fields) < 7:
+                failed = line_no
+                break
+            try:
+                values.extend(map(float, fields[:7]))
+            except ValueError:
+                failed = line_no
+                break
+            line_nos.append(line_no)
+        block = _float_block(values, len(line_nos), 7)
+        bad = ~_mot_rows_ok(block)
+        if bad.any():
+            failed = line_nos[int(np.argmax(bad))]
+        if failed is not None:
+            _mot_record(failed, lines[failed - first])
+            raise _unreachable(failed)
+        # Every rule holds: the records take the parsed floats, keys as ints.
+        frames, ids = map(int, values[0::7]), map(int, values[1::7])
+        records.extend(map(DetectionRecord, frames, ids, *(values[k::7] for k in range(2, 7))))
     return records
 
 
@@ -157,9 +245,21 @@ def write_tracks(records: list[DetectionRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _feature_row(line_no: int, line: str, dim: int, seen) -> list[float]:
+    """One feature line's values, checked rule by rule in order: how a bad
+    line's error is found."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 2 + dim:
+        raise ParseError(line_no, f"expected {2 + dim} fields (dim={dim}), got {len(fields)}")
+    frame = _parse_int(fields[0], line_no, "frame")
+    _check_key(line_no, frame, _parse_int(fields[1], line_no, "det_index"), seen)
+    return [_parse_float(f, line_no, "feature value") for f in fields[2:]]
+
+
 def parse_features(text: str) -> FeatureTable:
     """Parse a feature table: '# dim=<d>' header, then 'frame,det_index,v0,...' rows."""
-    lines = text.splitlines()
+    chunks = _line_chunks(text)
+    _, lines = next(chunks, (1, []))
     if not lines or not lines[0].strip().startswith("# dim="):
         raise ParseError(1, "missing '# dim=<d>' header")
     try:
@@ -169,63 +269,174 @@ def parse_features(text: str) -> FeatureTable:
     if dim < 1:
         raise ParseError(1, f"dimension must be positive, got {dim}")
 
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2 + dim:
-            raise ParseError(
-                line_no, f"expected {2 + dim} fields (dim={dim}), got {len(fields)}"
-            )
-        frame = _parse_int(fields[0], line_no, "frame")
-        key = _check_key(line_no, frame, _parse_int(fields[1], line_no, "det_index"), entries)
-        entries[key] = np.array(
-            [_parse_float(f, line_no, "feature value") for f in fields[2:]],
-            dtype=np.float64,
+    width = 2 + dim
+    seen: dict[tuple[int, int], None] = {}  # the keys, in row order
+    blocks = []
+    for first, lines in chain([(2, lines[1:])], chunks):
+        values: list[float] = []
+        line_nos: list[int] = []
+        failed = None
+        for line_no, line in enumerate(lines, first):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != width:
+                failed = line_no
+                break
+            try:
+                values.extend(map(float, fields))
+            except ValueError:
+                failed = line_no
+                break
+            frame, det_index = values[-width], values[1 - width]
+            if not (frame.is_integer() and det_index.is_integer()
+                    and 1 <= frame < _INT_LIMIT and 0 <= det_index < _INT_LIMIT):
+                failed = line_no
+                break
+            key = (int(frame), int(det_index))
+            if key in seen:
+                failed = line_no
+                break
+            seen[key] = None
+            line_nos.append(line_no)
+        block = np.ascontiguousarray(_float_block(values, len(line_nos), width)[:, 2:])
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            line_no = line_nos[int(np.argmax(bad))]
+            # This row's key passed when it was read: no other key can clash with it.
+            _feature_row(line_no, lines[line_no - first], dim, ())
+            raise _unreachable(line_no)
+        if failed is not None:
+            _feature_row(failed, lines[failed - first], dim, seen)
+            raise _unreachable(failed)
+        blocks.append(block)
+    return FeatureTable(dim=dim, entries=dict(zip(seen, _read_only(blocks))))
+
+
+def _keypoint_key(line_no: int, line: str, seen) -> tuple[tuple[int, int], object]:
+    """One JSON line's checked ``(frame, det_index)`` key and its keypoints value."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+    except ValueError:
+        # An integer literal past Python's int-from-string digit limit.
+        raise ParseError(line_no, "integer with too many digits") from None
+    try:
+        frame, det_index, keypoints = obj["frame"], obj["det_index"], obj["keypoints"]
+    except (KeyError, TypeError):
+        raise ParseError(line_no, "expected frame/det_index/keypoints object") from None
+    return _check_key(line_no, frame, det_index, seen), keypoints
+
+
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or nested lists of them (not true/false/null)."""
+    if type(value) is list:
+        return all(map(_json_numbers, value))
+    return type(value) is int or type(value) is float
+
+
+def _keypoint_rows_ok(block: np.ndarray) -> np.ndarray:
+    """Per (18, 3) row of an (m, 18, 3) block: finite positions, confidences in [0, 1]."""
+    conf = block[:, :, 2]
+    in_range = ((conf >= 0.0) & (conf <= 1.0)).all(axis=1)
+    return np.isfinite(block[:, :, :2]).all(axis=(1, 2)) & in_range
+
+
+def _keypoint_array(line_no: int, keypoints) -> np.ndarray:
+    """One keypoints value as an (18, 3) array, checked rule by rule in order:
+    how a bad row's error is found."""
+    try:
+        array = np.array(keypoints, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParseError(line_no, "keypoints must be numeric (x, y, c) triples") from None
+    except OverflowError:
+        raise ParseError(line_no, "keypoint value outside the float range") from None
+    if not _json_numbers(keypoints):  # np.array would take "1.5", true and null
+        raise ParseError(line_no, "keypoints must be numeric (x, y, c) triples")
+    if array.shape != (COCO_KEYPOINT_COUNT, 3):
+        raise ParseError(
+            line_no, f"expected {COCO_KEYPOINT_COUNT} keypoints, got shape {array.shape}"
         )
-    return FeatureTable(dim=dim, entries=entries)
+    if not np.isfinite(array[:, :2]).all():
+        raise ParseError(line_no, "keypoint position is not finite")
+    outside = ~((array[:, 2] >= 0.0) & (array[:, 2] <= 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ParseError(line_no, f"keypoint {i} confidence {array[i, 2]} outside [0, 1]")
+    return array
+
+
+_TRIPLE_LENGTHS = [3] * COCO_KEYPOINT_COUNT
+
+
+def _plain_triples(line: str, keypoints) -> bool:
+    """Whether ``keypoints`` is 18 sized-3 lists of nothing but lists and JSON numbers.
+
+    The line must hold exactly six double quotes, those of the three keys, and
+    no ``u`` or ``l``: every true, false and null has one, while numbers
+    (NaN and Infinity too) and the keys have none.
+    """
+    if line.count('"') != 6 or "u" in line or "l" in line or type(keypoints) is not list:
+        return False
+    try:
+        return list(map(len, keypoints)) == _TRIPLE_LENGTHS
+    except TypeError:  # an unsized entry
+        return False
+
+
+def _keypoint_block(
+    values: list, line_nos: list[int], lines: list[str], first: int
+) -> np.ndarray:
+    """The (m, 18, 3) block of m rows' flat keypoint values; raises the first
+    bad row's error.
+
+    A value that is not a scalar number fails the conversion.  Then, or when
+    a row breaks a value rule, the rows are checked one by one, from their
+    lines, to name the first bad one.
+    """
+    try:
+        block = np.fromiter(values, np.float64, len(values))
+        block = block.reshape(len(line_nos), COCO_KEYPOINT_COUNT, 3)
+        if _keypoint_rows_ok(block).all():
+            return block
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for line_no in line_nos:
+        _keypoint_array(line_no, _keypoint_key(line_no, lines[line_no - first], ())[1])
+    raise _unreachable(line_nos[-1])
 
 
 def parse_keypoints(text: str) -> list[KeypointRecord]:
-    """Parse JSON-lines keypoint records with exactly 18 COCO (x, y, c) triples."""
-    records: list[KeypointRecord] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
-        except ValueError:
-            # An integer literal past Python's int-from-string digit limit.
-            raise ParseError(line_no, "integer with too many digits") from None
-        try:
-            frame = obj["frame"]
-            det_index = obj["det_index"]
-            keypoints = obj["keypoints"]
-        except (KeyError, TypeError):
-            raise ParseError(line_no, "expected frame/det_index/keypoints object") from None
-        seen.add(_check_key(line_no, frame, det_index, seen))
-        try:
-            array = np.array(keypoints, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ParseError(line_no, "keypoints must be numeric (x, y, c) triples") from None
-        except OverflowError:
-            raise ParseError(line_no, "keypoint value outside the float range") from None
-        if array.shape != (COCO_KEYPOINT_COUNT, 3):
-            raise ParseError(
-                line_no, f"expected {COCO_KEYPOINT_COUNT} keypoints, got shape {array.shape}"
-            )
-        if not np.isfinite(array[:, :2]).all():
-            raise ParseError(line_no, "keypoint position is not finite")
-        outside = ~((array[:, 2] >= 0.0) & (array[:, 2] <= 1.0))
-        if outside.any():
-            i = int(np.argmax(outside))
-            raise ParseError(line_no, f"keypoint {i} confidence {array[i, 2]} outside [0, 1]")
-        records.append(KeypointRecord(frame=frame, det_index=det_index, keypoints=array))
-    return records
+    """Parse JSON-lines keypoint records with exactly 18 COCO (x, y, c) triples.
+
+    Every keypoint value must be a JSON number: strings, true/false and null
+    are not numeric.
+    """
+    seen: dict[tuple[int, int], None] = {}  # the keys, in row order
+    blocks = []
+    for first, lines in _line_chunks(text):
+        values: list = []
+        line_nos: list[int] = []
+        for line_no, line in enumerate(lines, first):
+            if not line.strip():
+                continue
+            try:
+                key, keypoints = _keypoint_key(line_no, line, seen)
+                if not _plain_triples(line, keypoints):
+                    keypoints = _keypoint_array(line_no, keypoints)
+            except ParseError:
+                # An earlier row's error comes first.
+                _keypoint_block(values, line_nos, lines, first)
+                raise
+            seen[key] = None
+            line_nos.append(line_no)
+            values.extend(chain.from_iterable(keypoints))
+        blocks.append(_keypoint_block(values, line_nos, lines, first))
+    return [
+        KeypointRecord(frame, det_index, row)
+        for (frame, det_index), row in zip(seen, _read_only(blocks))
+    ]
 
 
 def parse_config(text: str) -> dict[str, str]:
