@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import association, metrics, synth, tracker
-from .io_formats import parse_features, parse_keypoints, parse_mot
+from .io_formats import parse_config, parse_features, parse_keypoints, parse_mot
 from .io_formats import ParseError, ValidationError, write_tracks
 
 _MODE_STRATEGIES = {"full": "full", "avg": "averaged"}
@@ -98,8 +98,6 @@ def _cmd_eval_mot(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .io_formats import parse_config
-
     cfg = synth.SynthConfig.from_mapping(parse_config(_read(args.config)))
     synth.generate_to_dir(cfg, args.out_dir)
     return 0

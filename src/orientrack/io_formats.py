@@ -13,16 +13,16 @@ position of the detection within its frame, in detection-file order.
 All parsers are total: every input either yields a value or raises a
 positioned error; nothing is returned partially.
 
-The three record parsers read their text in pieces of whole lines.  Per line
-they do only what is per line by nature: split the CSV line and map ``float``
-over its fields, or load the JSON line, then check its structure and its
-``(frame, det_index)`` key.  Each piece's values become one float block, and
-the integer, range, finiteness, confidence and ``validate`` rules run once per
-block.  Error contract: the first bad line in file order raises, with the same
-exception type, line number and message as checking every line's rules in
-order, line by line; only that one line is turned into a message.  Parsed
-feature vectors and keypoint arrays are rows of read-only blocks, one block
-per piece, so they share memory and cannot be written to.
+The three record parsers share one reader, ``_blocks``, that takes the text
+in pieces of whole lines.  Per line, the parser's ``read`` splits the CSV line
+and maps ``float`` over its fields, or loads the JSON line, and checks its
+structure and key; ``seen`` maps each key to the line it was read on.  Each
+piece's values become one float block, and the integer, range, finiteness,
+confidence and ``validate`` rules run once per block.  Error contract: the
+first bad line in file order raises the error of its own line rules, checked
+in order; only that line is turned into a message.  Parsed feature vectors and
+keypoint arrays are rows of read-only blocks, one block per piece, so they
+share memory and cannot be written to.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, get_type_hints
 
 import numpy as np
@@ -135,7 +135,8 @@ def _parse_float(raw: str, line_no: int, name: str) -> float:
 
 
 def _check_key(line_no: int, frame, det_index, seen) -> tuple[int, int]:
-    """Check a feature or keypoint row's ``(frame, det_index)`` key, not yet in ``seen``."""
+    """Check a feature or keypoint row's ``(frame, det_index)`` key; ``seen``
+    maps each key read so far to its line, and another line's key is a duplicate."""
     # JSON true/false load as bool, a subclass of int: test the exact type.
     if type(frame) is not int or frame < 1:
         raise ParseError(line_no, f"frame must be a positive integer, got {frame!r}")
@@ -145,19 +146,46 @@ def _check_key(line_no: int, frame, det_index, seen) -> tuple[int, int]:
         raise ParseError(line_no, f"det_index must be a non-negative integer, got {det_index!r}")
     if det_index >= _INT_LIMIT:
         raise ParseError(line_no, f"det_index out of range: {det_index!r}")
-    if (frame, det_index) in seen:
+    if seen.get((frame, det_index), line_no) != line_no:
         raise ParseError(line_no, f"duplicate key {(frame, det_index)}")
     return frame, det_index
 
 
-def _unreachable(line_no: int) -> AssertionError:
-    """The error for a line that a block check rejects and its line rules accept."""
-    return AssertionError(f"line {line_no} failed a block check but passes its line rules")
+def _blocks(pieces, shape: tuple[int, ...], read, rows_ok, explain) -> Iterator[tuple]:
+    """Yield each ``(first line number, lines)`` piece as one checked float
+    block of rows of ``shape``, with the list of its values.
 
-
-def _float_block(values: list, rows: int, width: int) -> np.ndarray:
-    """The (rows, width) block of the first rows * width scalars of ``values``."""
-    return np.fromiter(values, np.float64, rows * width).reshape(rows, width)
+    ``read(line_no, line, values)`` appends a non-blank line's values and
+    returns False when the line breaks a line rule, which ends the piece.  The
+    first rows * prod(shape) values make the block.  When a value does not
+    convert, every row is checked, else the rows that ``rows_ok`` rejects:
+    ``explain(line_no, line)`` raises a line's error, and it is called on those
+    rows in file order, then on the failed line, so the first bad line raises.
+    """
+    size = math.prod(shape)
+    for first, lines in pieces:
+        values: list = []
+        line_nos: list[int] = []
+        failed: list[int] = []
+        for line_no, line in enumerate(lines, first):
+            if not line.strip():
+                continue
+            if not read(line_no, line, values):
+                failed.append(line_no)
+                break
+            line_nos.append(line_no)
+        try:
+            block = np.fromiter(values, np.float64, len(line_nos) * size)
+            block = block.reshape(len(line_nos), *shape)
+            ok = rows_ok(block)
+        except (TypeError, ValueError, OverflowError):
+            ok = np.zeros(len(line_nos), bool)
+        if failed or not ok.all():
+            bad = [*compress(line_nos, ~ok), *failed]
+            for line_no in bad:
+                explain(line_no, lines[line_no - first])
+            raise AssertionError(f"lines {bad} failed a check but pass their line rules")
+        yield block, values
 
 
 def _read_only(blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
@@ -192,6 +220,16 @@ def _mot_rows_ok(block: np.ndarray) -> np.ndarray:
     )
 
 
+def _read_mot(line_no: int, line: str, values: list) -> bool:
+    """Append a MOT line's first 7 fields as floats; False unless there are 7 numbers."""
+    fields = line.split(",", 7)[:7]
+    try:
+        values.extend(map(float, fields))
+    except ValueError:
+        return False
+    return len(fields) == 7
+
+
 def parse_mot(text: str) -> list[DetectionRecord]:
     """Parse MOT CSV text into detection records, in file order.
 
@@ -199,30 +237,7 @@ def parse_mot(text: str) -> list[DetectionRecord]:
     malformed lines and ValidationError for out-of-range values.
     """
     records: list[DetectionRecord] = []
-    for first, lines in _line_chunks(text):
-        values: list[float] = []
-        line_nos: list[int] = []
-        failed = None
-        for line_no, line in enumerate(lines, first):
-            if not line.strip():
-                continue
-            fields = line.split(",", 7)
-            if len(fields) < 7:
-                failed = line_no
-                break
-            try:
-                values.extend(map(float, fields[:7]))
-            except ValueError:
-                failed = line_no
-                break
-            line_nos.append(line_no)
-        block = _float_block(values, len(line_nos), 7)
-        bad = ~_mot_rows_ok(block)
-        if bad.any():
-            failed = line_nos[int(np.argmax(bad))]
-        if failed is not None:
-            _mot_record(failed, lines[failed - first])
-            raise _unreachable(failed)
+    for _, values in _blocks(_line_chunks(text), (7,), _read_mot, _mot_rows_ok, _mot_record):
         # Every rule holds: the records take the parsed floats, keys as ints.
         frames, ids = map(int, values[0::7]), map(int, values[1::7])
         records.extend(map(DetectionRecord, frames, ids, *(values[k::7] for k in range(2, 7))))
@@ -245,17 +260,6 @@ def write_tracks(records: list[DetectionRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _feature_row(line_no: int, line: str, dim: int, seen) -> list[float]:
-    """One feature line's values, checked rule by rule in order: how a bad
-    line's error is found."""
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != 2 + dim:
-        raise ParseError(line_no, f"expected {2 + dim} fields (dim={dim}), got {len(fields)}")
-    frame = _parse_int(fields[0], line_no, "frame")
-    _check_key(line_no, frame, _parse_int(fields[1], line_no, "det_index"), seen)
-    return [_parse_float(f, line_no, "feature value") for f in fields[2:]]
-
-
 def parse_features(text: str) -> FeatureTable:
     """Parse a feature table: '# dim=<d>' header, then 'frame,det_index,v0,...' rows."""
     chunks = _line_chunks(text)
@@ -270,46 +274,39 @@ def parse_features(text: str) -> FeatureTable:
         raise ParseError(1, f"dimension must be positive, got {dim}")
 
     width = 2 + dim
-    seen: dict[tuple[int, int], None] = {}  # the keys, in row order
-    blocks = []
-    for first, lines in chain([(2, lines[1:])], chunks):
-        values: list[float] = []
-        line_nos: list[int] = []
-        failed = None
-        for line_no, line in enumerate(lines, first):
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) != width:
-                failed = line_no
-                break
-            try:
-                values.extend(map(float, fields))
-            except ValueError:
-                failed = line_no
-                break
-            frame, det_index = values[-width], values[1 - width]
-            if not (frame.is_integer() and det_index.is_integer()
-                    and 1 <= frame < _INT_LIMIT and 0 <= det_index < _INT_LIMIT):
-                failed = line_no
-                break
-            key = (int(frame), int(det_index))
-            if key in seen:
-                failed = line_no
-                break
-            seen[key] = None
-            line_nos.append(line_no)
-        block = np.ascontiguousarray(_float_block(values, len(line_nos), width)[:, 2:])
-        bad = ~np.isfinite(block).all(axis=1)
-        if bad.any():
-            line_no = line_nos[int(np.argmax(bad))]
-            # This row's key passed when it was read: no other key can clash with it.
-            _feature_row(line_no, lines[line_no - first], dim, ())
-            raise _unreachable(line_no)
-        if failed is not None:
-            _feature_row(failed, lines[failed - first], dim, seen)
-            raise _unreachable(failed)
-        blocks.append(block)
+    seen: dict[tuple[int, int], int] = {}  # each key, in row order, to its line
+
+    def read(line_no: int, line: str, values: list) -> bool:
+        fields = line.split(",")
+        if len(fields) != width:
+            return False
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            return False
+        frame, det_index = values[-width], values[1 - width]
+        if not (frame.is_integer() and det_index.is_integer()
+                and 1 <= frame < _INT_LIMIT and 0 <= det_index < _INT_LIMIT):
+            return False
+        key = (int(frame), int(det_index))
+        if key in seen:
+            return False
+        seen[key] = line_no
+        return True
+
+    def explain(line_no: int, line: str) -> None:
+        """One feature line's rules, in order: how a bad line's error is found."""
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise ParseError(line_no, f"expected {width} fields (dim={dim}), got {len(fields)}")
+        frame = _parse_int(fields[0], line_no, "frame")
+        _check_key(line_no, frame, _parse_int(fields[1], line_no, "det_index"), seen)
+        for raw in fields[2:]:
+            _parse_float(raw, line_no, "feature value")
+
+    pieces = _blocks(chain([(2, lines[1:])], chunks), (width,), read,
+                     lambda block: np.isfinite(block[:, 2:]).all(axis=1), explain)
+    blocks = [np.ascontiguousarray(block[:, 2:]) for block, _ in pieces]
     return FeatureTable(dim=dim, entries=dict(zip(seen, _read_only(blocks))))
 
 
@@ -385,54 +382,30 @@ def _plain_triples(line: str, keypoints) -> bool:
         return False
 
 
-def _keypoint_block(
-    values: list, line_nos: list[int], lines: list[str], first: int
-) -> np.ndarray:
-    """The (m, 18, 3) block of m rows' flat keypoint values; raises the first
-    bad row's error.
-
-    A value that is not a scalar number fails the conversion.  Then, or when
-    a row breaks a value rule, the rows are checked one by one, from their
-    lines, to name the first bad one.
-    """
-    try:
-        block = np.fromiter(values, np.float64, len(values))
-        block = block.reshape(len(line_nos), COCO_KEYPOINT_COUNT, 3)
-        if _keypoint_rows_ok(block).all():
-            return block
-    except (TypeError, ValueError, OverflowError):
-        pass
-    for line_no in line_nos:
-        _keypoint_array(line_no, _keypoint_key(line_no, lines[line_no - first], ())[1])
-    raise _unreachable(line_nos[-1])
-
-
 def parse_keypoints(text: str) -> list[KeypointRecord]:
     """Parse JSON-lines keypoint records with exactly 18 COCO (x, y, c) triples.
 
     Every keypoint value must be a JSON number: strings, true/false and null
     are not numeric.
     """
-    seen: dict[tuple[int, int], None] = {}  # the keys, in row order
-    blocks = []
-    for first, lines in _line_chunks(text):
-        values: list = []
-        line_nos: list[int] = []
-        for line_no, line in enumerate(lines, first):
-            if not line.strip():
-                continue
-            try:
-                key, keypoints = _keypoint_key(line_no, line, seen)
-                if not _plain_triples(line, keypoints):
-                    keypoints = _keypoint_array(line_no, keypoints)
-            except ParseError:
-                # An earlier row's error comes first.
-                _keypoint_block(values, line_nos, lines, first)
-                raise
-            seen[key] = None
-            line_nos.append(line_no)
-            values.extend(chain.from_iterable(keypoints))
-        blocks.append(_keypoint_block(values, line_nos, lines, first))
+    seen: dict[tuple[int, int], int] = {}  # each key, in row order, to its line
+
+    def read(line_no: int, line: str, values: list) -> bool:
+        try:
+            key, keypoints = _keypoint_key(line_no, line, seen)
+            if not _plain_triples(line, keypoints):
+                keypoints = _keypoint_array(line_no, keypoints)
+        except ParseError:
+            return False
+        seen[key] = line_no
+        values.extend(chain.from_iterable(keypoints))
+        return True
+
+    def explain(line_no: int, line: str) -> None:
+        _keypoint_array(line_no, _keypoint_key(line_no, line, seen)[1])
+
+    blocks = [block for block, _ in _blocks(_line_chunks(text), (COCO_KEYPOINT_COUNT, 3),
+                                            read, _keypoint_rows_ok, explain)]
     return [
         KeypointRecord(frame, det_index, row)
         for (frame, det_index), row in zip(seen, _read_only(blocks))

@@ -32,6 +32,9 @@ from .io_formats import (
     config_from_mapping,
     group_by_frame,
     parse_config,
+    parse_features,
+    parse_keypoints,
+    parse_mot,
 )
 # ``orientation_from_keypoints``, the one-row form of ``orientation_bins``, stays
 # importable from here for callers (and perfbench's tracer) that look it up here.
@@ -211,8 +214,6 @@ def run_sequence(
     keypoints_text: str | None = None,
 ) -> list[DetectionRecord]:
     """Run the tracker over a whole detection file; deterministic per seed."""
-    from .io_formats import parse_features, parse_keypoints, parse_mot
-
     detections = parse_mot(det_text)
     features = parse_features(features_text) if features_text is not None else None
     keypoints = None

@@ -416,7 +416,7 @@ def outcome(parse, text):
         value = [(r.frame, type(r.frame), r.det_index, type(r.det_index), r.keypoints.shape,
                   r.keypoints.tobytes()) for r in value]
     else:
-        value = [(r, type(r.frame), type(r.id)) for r in value]
+        value = [(r, tuple(map(type, vars(r).values()))) for r in value]
     return "ok", value
 
 
@@ -633,6 +633,10 @@ class TestFirstBadLineWins:
          "conf must be non-negative"),
         (parse_features, "# dim=2\n1,0,inf,1\n1,1,abc,1", "non-finite feature value"),
         (parse_features, "# dim=2\n1,0,nan,1\n1,0,1,1", "non-finite feature value"),
+        (parse_keypoints, "\n".join(
+            f'{{"frame":1,"det_index":{i},"keypoints":[{first},' + ",".join(["[0,0,0]"] * 17) + "]}"
+            for i, first in ((0, "[0,0,0]"), (1, "[NaN,0,0]"), (1, "[0,0,0]"))
+        ), "keypoint position is not finite"),
     ])
     def test_value_rule_before_a_later_line_rule(self, parse, text, message):
         with pytest.raises((ParseError, ValidationError), match=message) as exc:
