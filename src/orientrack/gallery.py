@@ -8,8 +8,10 @@ Strategies:
 
 All four share one store: a ``(rows, d)`` vector matrix with an owner id and
 an insert count per row, so binned memory is proportional to persons x bins.
-``discard`` drops a person's rows, and ``distances`` reads every stored row, by
-owner segments, into one detections x persons nearest-row matrix.
+The store holds exactly its rows, with no spare capacity: a block insert
+appends its new rows in one copy, and ``discard`` keeps the other rows.
+``distances`` reads every stored row, by owner segments, into one
+detections x persons nearest-row matrix.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ class Gallery:
         self.bins = 1 if strategy == "averaged" else bins
         self._rng = np.random.default_rng(seed)
         self._dim: int | None = None
-        # Rows [0, _rows) are live; capacity doubles when full.
-        self._rows = 0
         self._vectors = np.empty((0, 0))
         self._owners = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
@@ -127,29 +127,22 @@ class Gallery:
 
     def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
         """Append a row per person, each at insert count 1; returns the first new row."""
-        start, end = self._rows, self._rows + len(feats)
-        if end > len(self._owners):
-            # np.resize keeps the leading rows; the tail is unused capacity.
-            capacity = max(2 * end, 8)
-            self._vectors = np.resize(self._vectors, (capacity, feats.shape[1]))
-            self._owners = np.resize(self._owners, capacity)
-            self._counts = np.resize(self._counts, capacity)
-        self._vectors[start:end] = feats
-        self._owners[start:end] = persons
-        self._counts[start:end] = 1
-        self._rows = end
+        start = len(self._owners)
+        # Before the first insert the vectors are (0, 0); reshape gives them d columns.
+        self._vectors = np.concatenate([self._vectors.reshape(start, feats.shape[1]), feats])
+        self._owners = np.concatenate([self._owners, persons])
+        self._counts = np.concatenate([self._counts, np.ones(len(feats), np.int64)])
         return start
 
     def discard(self, persons: Sequence[int]) -> None:
         """Drop every row of ``persons``; the other rows keep their order and counts."""
-        kept = np.flatnonzero(~np.isin(self._owners[: self._rows], persons))
-        if len(kept) == self._rows:
+        kept = np.flatnonzero(~np.isin(self._owners, persons))
+        if len(kept) == len(self._owners):
             return
-        for store in (self._vectors, self._owners, self._counts):
-            store[: len(kept)] = store[kept]
+        self._vectors, self._owners, self._counts = (
+            self._vectors[kept], self._owners[kept], self._counts[kept])
         moved = dict(zip(kept.tolist(), range(len(kept))))
         self._row_of = {key: moved[row] for key, row in self._row_of.items() if row in moved}
-        self._rows = len(kept)
 
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
@@ -158,9 +151,9 @@ class Gallery:
         without rows; one ``np.minimum.reduceat`` over every owner's segment takes the minima.
         """
         feats = self._block(features) if len(features) else None
-        if feats is None or not self._rows:
+        if feats is None or not len(self._owners):
             return np.full((len(features), len(persons)), np.inf)
-        rows = np.argsort(self._owners[: self._rows], kind="stable")
+        rows = np.argsort(self._owners, kind="stable")
         owners, heads = np.unique(self._owners[rows], return_index=True)
         nearest = np.minimum.reduceat(_distance(self._vectors[rows], feats[:, None]), heads, axis=1)
         segment = np.searchsorted(owners, persons).clip(max=len(owners) - 1)
@@ -169,18 +162,18 @@ class Gallery:
     def min_distance(self, person: int, feat: np.ndarray) -> float:
         """Euclidean distance from feat to the person's nearest stored feature."""
         distance = self.distances([feat], [person])[0, 0]
-        if not np.any(self._owners[: self._rows] == person):
+        if not np.any(self._owners == person):
             raise KeyError(f"person {person} has no stored features")
         return float(distance)
 
     def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
         """Person minimizing min_distance; ties broken by smallest person id."""
-        if self._rows == 0:
+        if not len(self._owners):
             raise KeyError("empty gallery")
-        dist = _distance(self._vectors[: self._rows], self._block([feat])[0])
+        dist = _distance(self._vectors, self._block([feat])[0])
         best = dist.min()
-        return int(self._owners[: self._rows][dist == best].min()), float(best)
+        return int(self._owners[dist == best].min()), float(best)
 
     def stored_vectors(self) -> int:
         """Total number of stored vectors (running means count as one each)."""
-        return self._rows
+        return len(self._owners)

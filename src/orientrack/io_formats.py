@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterator, get_type_hints
 
 import numpy as np
@@ -156,36 +156,34 @@ def _blocks(pieces, shape: tuple[int, ...], read, rows_ok, explain) -> Iterator[
     block of rows of ``shape``, with the list of its values.
 
     ``read(line_no, line, values)`` appends a non-blank line's values and
-    returns False when the line breaks a line rule, which ends the piece.  The
-    first rows * prod(shape) values make the block.  When a value does not
-    convert, every row is checked, else the rows that ``rows_ok`` rejects:
-    ``explain(line_no, line)`` raises a line's error, and it is called on those
-    rows in file order, then on the failed line, so the first bad line raises.
+    returns False when the line breaks a line rule, which ends the piece.  A
+    piece whose lines all read, whose values all convert and whose rows all
+    pass ``rows_ok`` is yielded.  Any other piece is explained:
+    ``explain(line_no, line)`` raises a line's error, and it runs on the
+    piece's non-blank lines in file order, so the first bad line raises.
     """
     size = math.prod(shape)
     for first, lines in pieces:
         values: list = []
-        line_nos: list[int] = []
-        failed: list[int] = []
+        rows = 0
         for line_no, line in enumerate(lines, first):
             if not line.strip():
                 continue
             if not read(line_no, line, values):
-                failed.append(line_no)
                 break
-            line_nos.append(line_no)
-        try:
-            block = np.fromiter(values, np.float64, len(line_nos) * size)
-            block = block.reshape(len(line_nos), *shape)
-            ok = rows_ok(block)
-        except (TypeError, ValueError, OverflowError):
-            ok = np.zeros(len(line_nos), bool)
-        if failed or not ok.all():
-            bad = [*compress(line_nos, ~ok), *failed]
-            for line_no in bad:
-                explain(line_no, lines[line_no - first])
-            raise AssertionError(f"lines {bad} failed a check but pass their line rules")
-        yield block, values
+            rows += 1
+        else:
+            try:
+                block = np.fromiter(values, np.float64, rows * size).reshape(rows, *shape)
+            except (TypeError, ValueError, OverflowError):
+                block = None
+            if block is not None and rows_ok(block).all():
+                yield block, values
+                continue
+        for line_no, line in enumerate(lines, first):
+            if line.strip():
+                explain(line_no, line)
+        raise AssertionError(f"a piece from line {first} failed a check but its lines pass")
 
 
 def _read_only(blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
@@ -282,16 +280,13 @@ def parse_features(text: str) -> FeatureTable:
             return False
         try:
             values.extend(map(float, fields))
-        except ValueError:
+            # An integral float becomes an int, so that _check_key accepts it.
+            frame, det_index = values[-width], values[1 - width]
+            key = _check_key(line_no, int(frame) if frame.is_integer() else frame,
+                             int(det_index) if det_index.is_integer() else det_index, seen)
+            seen[key] = line_no
+        except ValueError:  # ParseError is one
             return False
-        frame, det_index = values[-width], values[1 - width]
-        if not (frame.is_integer() and det_index.is_integer()
-                and 1 <= frame < _INT_LIMIT and 0 <= det_index < _INT_LIMIT):
-            return False
-        key = (int(frame), int(det_index))
-        if key in seen:
-            return False
-        seen[key] = line_no
         return True
 
     def explain(line_no: int, line: str) -> None:

@@ -90,22 +90,15 @@ def orientation_bin(s2t: float, bins: int, smax: float = 1.0) -> int:
     return min(index, bins - 1)
 
 
-def torso_from_keypoints(keypoints: np.ndarray) -> TorsoPoints:
-    """Extract the four torso triples from an (18, 3) COCO keypoint array."""
-    return TorsoPoints(
-        right_shoulder=tuple(keypoints[RIGHT_SHOULDER]),
-        left_shoulder=tuple(keypoints[LEFT_SHOULDER]),
-        right_hip=tuple(keypoints[RIGHT_HIP]),
-        left_hip=tuple(keypoints[LEFT_HIP]),
-    )
-
-
 def orientation_from_keypoints(
     keypoints: np.ndarray, bins: int, smax: float = 1.0
 ) -> Orientation:
     """Compute the orientation for one detection, falling back to the middle bin."""
+    # The four torso triples as Python floats, in one fancy index: s2t_ratio's
+    # scalar arithmetic gives the same IEEE results on them, faster than on numpy scalars.
+    torso = keypoints[[RIGHT_SHOULDER, LEFT_SHOULDER, RIGHT_HIP, LEFT_HIP]].tolist()
     try:
-        ratio = s2t_ratio(torso_from_keypoints(keypoints))
+        ratio = s2t_ratio(TorsoPoints(*map(tuple, torso)))
     except OrientationUnavailable:
         return Orientation(s2t=float("nan"), bin=fallback_bin(bins), valid=False)
     return Orientation(s2t=ratio, bin=orientation_bin(ratio, bins, smax), valid=True)

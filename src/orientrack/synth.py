@@ -49,8 +49,14 @@ class SynthConfig:
             raise ValueError("persons and frames must be >= 1")
         if self.dim < 2:
             raise ValueError(f"feature dimension must be >= 2, got {self.dim}")
-        if self.kappa < 0 or self.sigma < 0 or self.sigma_det < 0:
-            raise ValueError("noise parameters must be non-negative")
+        for name in ("kappa", "sigma", "sigma_det"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthConfig":

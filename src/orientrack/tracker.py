@@ -36,8 +36,9 @@ from .io_formats import (
     parse_keypoints,
     parse_mot,
 )
-# ``orientation_from_keypoints``, the one-row form of ``orientation_bins``, stays
-# importable from here for callers (and perfbench's tracer) that look it up here.
+# ``orientation_from_keypoints``, the scalar form that ``orientation_bins`` must
+# match, stays importable from here for callers (and perfbench's tracer) that
+# look it up here.
 from .pose_orientation import orientation_bins, orientation_from_keypoints  # noqa: F401
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid

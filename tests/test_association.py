@@ -430,7 +430,7 @@ class TestTrackerWithReferenceSampler:
             return batched(ps, matrix, rng)
 
         def recording_distances(gallery, features, persons):
-            owners.append(gallery._owners[: gallery._rows].copy())
+            owners.append(gallery._owners.copy())
             return segmented(gallery, features, persons)
 
         def track():

@@ -60,6 +60,17 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "line", ["width=nan", "height=inf", "kappa=nan", "sigma=nan", "sigma_det=inf"]
+    )
+    def test_bad_synth_value_returns_1(self, tmp_path, capsys, line):
+        config = tmp_path / "synth.cfg"
+        config.write_text(f"persons=1\nframes=2\n{line}\n")
+        out_dir = tmp_path / "data"
+        assert run(["synth", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {line.split('=')[0]} must be")
+        assert not out_dir.exists()
+
 
 class TestPipeline:
     def test_single_person_noiseless_tracking_is_perfect(self, tmp_path):

@@ -27,9 +27,9 @@ class TestInsert:
         g = Gallery("full")
         for value in (1.0, 2.0, 3.0):
             g.insert(7, np.array([value, 0.0]))
-        rows = g._owners[: g._rows] == 7
-        assert list(g._vectors[: g._rows][rows][:, 0]) == [1.0, 2.0, 3.0]
-        assert list(g._counts[: g._rows][rows]) == [1, 1, 1]
+        rows = g._owners == 7
+        assert list(g._vectors[rows][:, 0]) == [1.0, 2.0, 3.0]
+        assert list(g._counts[rows]) == [1, 1, 1]
 
     def test_dimension_mismatch(self):
         g = Gallery("full")
@@ -198,7 +198,7 @@ class ReferenceGallery:
 def reference_distances(gallery, features, persons):
     """One ``np.linalg.norm`` per (feature, person) pair over the person's
     stored rows, then their minimum; ``inf`` for a person without rows."""
-    vectors, owners = gallery._vectors[: gallery._rows], gallery._owners[: gallery._rows]
+    vectors, owners = gallery._vectors, gallery._owners
     out = np.full((len(features), len(persons)), np.inf)
     for i, feat in enumerate(features):
         for j, person in enumerate(persons):
@@ -275,7 +275,7 @@ class TestArrayStoreMatchesReference:
         )
 
         assert g.stored_vectors() == sum(len(v) for v in ref.vectors.values())
-        assert np.unique(g._owners[: g._rows]).tolist() == sorted(ref.vectors)
+        assert np.unique(g._owners).tolist() == sorted(ref.vectors)
         for q in queries:
             if ref.vectors:
                 assert g.nearest_person(q) == ref.nearest_person(q)
@@ -307,8 +307,8 @@ class TestArrayStoreMatchesReference:
                 singles.insert(person, feat, bin_index % bins)
                 ref.insert(person, feat, bin_index % bins)
 
-        rows = g._rows
-        assert rows == singles._rows == sum(len(v) for v in ref.vectors.values())
+        rows = g.stored_vectors()
+        assert rows == singles.stored_vectors() == sum(len(v) for v in ref.vectors.values())
         np.testing.assert_array_equal(g._vectors[:rows], singles._vectors[:rows])
         np.testing.assert_array_equal(g._owners[:rows], singles._owners[:rows])
         np.testing.assert_array_equal(g._counts[:rows], singles._counts[:rows])
@@ -415,7 +415,7 @@ class TestNonFinite:
 
 def stored_state(g):
     """What a gallery's later reads and inserts depend on."""
-    rows = g._rows
+    rows = g.stored_vectors()
     return (g._vectors[:rows].tolist(), g._owners[:rows].tolist(), g._counts[:rows].tolist(),
             g._row_of, g._rng.bit_generator.state)
 
@@ -430,9 +430,9 @@ class TestDiscard:
         g.insert_block([1, 2, 1, 3, 2], [[1.0], [2.0], [3.0], [4.0], [5.0]], [0, 0, 1, 1, 1])
         g.insert(3, np.array([6.0]), bin=1)
         g.discard([2])
-        assert g._owners[: g._rows].tolist() == [1, 1, 3]
-        assert g._vectors[: g._rows, 0].tolist() == [1.0, 3.0, 5.0]
-        assert g._counts[: g._rows].tolist() == [1, 1, 2]
+        assert g._owners.tolist() == [1, 1, 3]
+        assert g._vectors[:, 0].tolist() == [1.0, 3.0, 5.0]
+        assert g._counts.tolist() == [1, 1, 2]
         assert g._row_of == {(1, 0): 0, (1, 1): 1, (3, 1): 2}
         g.insert(3, np.array([8.0]), bin=1)
         assert g._vectors[2, 0] == 6.0 and g._counts[2] == 3
@@ -487,3 +487,30 @@ class TestDiscard:
         for gallery in (g, never):
             gallery.insert_block(np.arange(20) % 4, np.ones((20, 2)))
         assert stored_state(g) == stored_state(never)
+
+
+def assert_exact_rows(g):
+    rows = g.stored_vectors()
+    assert g._vectors.shape[0] == len(g._owners) == len(g._counts) == rows
+
+
+class TestStoreHoldsExactlyItsRows:
+    @given(
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        blocks=st.lists(kept_rows, min_size=1, max_size=6),
+        dropped=st.lists(st.integers(0, 3), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_after_inserts_and_a_discard(self, strategy, bins, blocks, dropped):
+        g = Gallery(strategy, bins=bins, seed=3)
+        for block in blocks:
+            g.insert_block([p for p, _, _ in block],
+                           np.array([f for _, _, f in block]).reshape(len(block), 3),
+                           [b % bins for _, b, _ in block])
+            assert_exact_rows(g)
+        g.insert(9, np.ones(3), bin=0)
+        assert_exact_rows(g)
+        g.discard(dropped + [9])
+        assert_exact_rows(g)
+        assert not np.isin(g._owners, dropped + [9]).any()

@@ -295,3 +295,22 @@ class TestOrientationBinsMatchScalar:
             orientation_bins(np.zeros((1, 18, 3)), bins=0)
         with pytest.raises(ValueError):
             orientation_bins(np.zeros((1, 18, 3)), bins=2, smax=0.0)
+
+
+class TestScalarFormMatchesNumpyRows:
+    """``orientation_from_keypoints`` reads the torso as Python floats; its
+    S2T must equal ``s2t_ratio`` of the torso built from the numpy rows."""
+
+    @given(block=keypoint_blocks(), bins=st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_s2t_equals_numpy_row_torso_bit_for_bit(self, block, bins):
+        for k in block:
+            got = orientation_from_keypoints(k, bins)
+            assert type(got.s2t) is float
+            try:
+                expected = s2t_ratio(TorsoPoints(*(tuple(k[i]) for i in (2, 5, 8, 11))))
+            except OrientationUnavailable:
+                assert not got.valid and math.isnan(got.s2t)
+                continue
+            assert got.valid
+            assert np.float64(got.s2t).tobytes() == np.float64(expected).tobytes()

@@ -148,6 +148,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(sigma=-0.1)
 
+    @pytest.mark.parametrize("name", ["kappa", "sigma", "sigma_det"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_noise(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["width", "height"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_rejects_bad_image_size(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            SynthConfig(**{name: value})
+
     def test_from_mapping(self):
         cfg = SynthConfig.from_mapping(
             {"persons": "3", "crossing": "true", "kappa": "0.5"}

@@ -250,7 +250,7 @@ class TestGalleryGrowth:
         for frame in range(1, cfg.frames + 1):
             tracker.process_frame(frame, by_frame.get(frame, []), features, keypoints)
         gallery = tracker.gallery
-        persons = len(np.unique(gallery._owners[: gallery._rows]))
+        persons = len(np.unique(gallery._owners))
         assert gallery.stored_vectors() <= persons * 4
 
     def test_binned_gallery_follows_the_live_tracks(self):
@@ -289,7 +289,7 @@ class TestRetiredTracksLeaveTheGallery:
             for frame in range(1, frames + 1):
                 detections = [] if frame in gap else by_frame[frame]
                 out += tracker.process_frame(frame, detections, features, keypoints)
-                owners = tracker.gallery._owners[: tracker.gallery._rows]
+                owners = tracker.gallery._owners
                 if check:
                     assert np.unique(owners).tolist() == tracker.tracks.tolist()
             return write_tracks(sorted(out, key=lambda r: (r.frame, r.id))), tracker.gallery
@@ -633,7 +633,7 @@ class TestFuzzedStreams:
                 assert not fresh or not seen or min(fresh) > max(seen)
                 retired |= seen - live
                 seen |= live
-                owners = tracker.gallery._owners[: tracker.gallery._rows]
+                owners = tracker.gallery._owners
                 expected = [] if mode == association.POS_ONLY else sorted(live)
                 assert np.unique(owners).tolist() == expected
                 out += emitted
