@@ -21,20 +21,30 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _bin_count(entry: str, where: str) -> int:
+    """Parse one bin count, an integer >= 1; ``where`` names its source in errors."""
+    try:
+        count = int(entry)
+    except ValueError:
+        raise ValueError(f"bad bin count {entry!r} in {where}") from None
+    if count < 1:
+        raise ValueError(f"bin count must be >= 1, got {entry!r} in {where}")
+    return count
+
+
 def _parse_reid_mode(raw: str) -> tuple[str, int]:
     """Parse 'full', 'avg', 'random:B' or 'orient:B' into (strategy, bins)."""
     if raw in _MODE_STRATEGIES:
         return _MODE_STRATEGIES[raw], 1
     name, sep, bins = raw.partition(":")
     if name in ("random", "orient") and sep:
-        try:
-            count = int(bins)
-        except ValueError:
-            raise ValueError(f"bad bin count in mode {raw!r}") from None
-        if count < 1:
-            raise ValueError(f"bin count must be >= 1 in mode {raw!r}")
-        return name, count
+        return name, _bin_count(bins, f"mode {raw!r}")
     raise ValueError(f"unknown re-ID mode {raw!r}")
+
+
+def _parse_sweep_bins(raw: str) -> list[int]:
+    """Parse '--sweep-bins 1,2,5' into bin counts, by the rules of a mode's B."""
+    return [_bin_count(entry, f"--sweep-bins {raw!r}") for entry in raw.split(",")]
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
@@ -58,16 +68,13 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
     strategy, bins = _parse_reid_mode(args.mode)
     if strategy == "orient" and args.keypoints is None:
         raise ValueError("orient mode requires --keypoints")
+    sweep = None if args.sweep_bins is None else _parse_sweep_bins(args.sweep_bins)
+    bin_counts = sweep if sweep and strategy in ("random", "orient") else [bins]
     items = metrics.label_features(
         parse_features(_read(args.features)),
         parse_mot(_read(args.ids_from_mot)),
         parse_keypoints(_read(args.keypoints)) if args.keypoints is not None else None,
     )
-
-    if args.sweep_bins and strategy in ("random", "orient"):
-        bin_counts = [int(b) for b in args.sweep_bins.split(",")]
-    else:
-        bin_counts = [bins]
 
     gallery_items, query_items = metrics.split_gallery_query(items, args.split, args.seed)
     lines = ["mode,bins,rank1"]
@@ -126,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="full | avg | random:B | orient:B")
     p_reid.add_argument("--split", type=float, default=0.8)
     p_reid.add_argument("--seed", type=int, default=0)
-    p_reid.add_argument("--sweep-bins", help="comma-separated bin counts")
+    p_reid.add_argument("--sweep-bins",
+                        help="comma-separated bin counts >= 1; ignored for full and avg")
     p_reid.add_argument("--out", required=True)
     p_reid.set_defaults(func=_cmd_eval_reid)
 

@@ -156,6 +156,19 @@ class TestPipeline:
         ) == 1
         assert "orient mode requires --keypoints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["random:2", "full"])
+    @pytest.mark.parametrize("sweep, bad", [("2,x", "'x'"), ("2,,4", "''"), ("", "''"),
+                                            ("3,0", "'0'"), ("-1", "'-1'"), ("2.5", "'2.5'")])
+    def test_bad_sweep_bins_fail_before_parsing(self, tmp_path, capsys, mode, sweep, bad):
+        absent = str(tmp_path / "absent.txt")
+        assert run(
+            ["eval-reid", "--features", absent, "--ids-from-mot", absent,
+             "--mode", mode, "--sweep-bins", sweep, "--out", str(tmp_path / "out.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "--sweep-bins" in err and bad in err
+        assert "absent.txt" not in err
+
     @pytest.mark.parametrize(
         "config, flags, missing",
         [("mode=pos_app\ngallery=full\n", [], "--features"),

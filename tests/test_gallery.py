@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from orientrack.gallery import Gallery
+from orientrack.gallery import Gallery, _pairwise_sum
 
 
 class TestInsert:
@@ -335,8 +335,10 @@ wide_floats = st.floats(-1e100, 1e100) | st.floats(-10.0, 10.0)
 class TestDistancesSummationOrder:
     @given(
         data=st.data(),
-        # numpy sums a contiguous axis of 8 or more in 8 interleaved partial sums.
-        dim=st.integers(1, 20),
+        # numpy sums a contiguous axis of 8 or more in 8 interleaved partial sums,
+        # adds a tail after the last whole block of 8, and splits above 128.
+        dim=st.one_of(st.integers(1, 40),
+                      st.sampled_from([127, 128, 129, 136, 255, 256, 257, 300, 1031])),
         owners=st.lists(st.integers(0, 6), max_size=12),
         n_queries=st.integers(0, 4),
         # Persons 7 and 8 are never stored; any person may repeat.
@@ -359,6 +361,52 @@ class TestDistancesSummationOrder:
             for query, row in zip(queries, reference_distances(g, queries, stored)):
                 best = row.min()
                 assert g.nearest_person(query) == (stored[int(np.argmax(row == best))], best)
+
+    @given(
+        lead=array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+        dim=st.one_of(st.integers(1, 40),
+                      st.sampled_from([127, 128, 129, 136, 255, 256, 257, 300, 1031, 2048])),
+        step=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pairwise_sum_equals_add_reduce_bytes(self, lead, dim, step, seed):
+        # Signed magnitudes from 1e-30 to 1e30, so any change in numpy's
+        # summation order shows in the last bits.
+        rng = np.random.default_rng(seed)
+        shape = (*lead, dim * step)
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+        x = x[..., ::step]
+        expected = np.asarray(np.add.reduce(x, axis=-1))
+        got = np.asarray(_pairwise_sum(x))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestGridTiesAboveEightDims:
+    """Tie-heavy grid vectors at widths that take the block, tail and split sums."""
+
+    @pytest.mark.parametrize("dim", [8, 9, 130])
+    @given(data=st.data(), owners=st.lists(st.integers(0, 5), max_size=12),
+           n_queries=st.integers(1, 4), persons=st.lists(st.integers(0, 7), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_distances_and_nearest_match_references(self, dim, data, owners, n_queries, persons):
+        grid = st.integers(-1, 1).map(float)
+        vectors = data.draw(arrays(np.float64, (len(owners), dim), elements=grid))
+        queries = data.draw(arrays(np.float64, (n_queries, dim), elements=grid))
+        g = Gallery("full")
+        ref = ReferenceGallery("full", 1, 0)
+        g.insert_block(owners, vectors)
+        for person, feat in zip(owners, vectors):
+            ref.insert(person, feat, 0)
+        distances = g.distances(queries, persons)
+        assert distances.tobytes() == reference_distances(g, queries, persons).tobytes()
+        for query in queries:
+            if owners:
+                assert g.nearest_person(query) == ref.nearest_person(query)
+            else:
+                with pytest.raises(KeyError):
+                    g.nearest_person(query)
 
 
 class TestInsertBlock:
