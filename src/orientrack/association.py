@@ -12,7 +12,11 @@ depend on each other when their supports meet, and a row's level is one more
 than the highest level among the earlier rows it depends on (0 if none).
 Rows of one level have disjoint supports, so all particles sample them in one
 batch with the row-by-row loop's arithmetic, level 0 (no taken column) once for
-all; each level gathers its rows and writes its picks back by row index.
+all; each level gathers its rows and writes its picks back by row index.  A
+frame in which no real column has mass in two rows is one level: it skips the
+level split and samples every row at once.  That is most frames of a few
+well-separated tracks (about 85% of the crossing benchmark's) and few of a
+crowd's (about 20%).
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ MODES = (POS_ONLY, APP_ONLY, POS_APP)
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; a row with no mass falls back to NEW_TRACK."""
-    totals = matrix.sum(axis=1, keepdims=True)
+    totals = np.add.reduce(matrix, axis=1, keepdims=True)
+    # A NaN total fails the comparison; ``initial`` admits 0 rows.
+    if np.minimum.reduce(totals, axis=None, initial=np.inf) > 0.0:
+        return matrix / totals
     empty = totals[:, 0] <= 0.0
     matrix = matrix / np.where(empty[:, None], 1.0, totals)
     matrix[empty] = 0.0
@@ -128,14 +135,14 @@ class ParticleSet:
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
-    return 1.0 / float(np.sum(weights**2))
+    return 1.0 / float(np.add.reduce(weights * weights))
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Indices of resampled particles using a single uniform offset."""
     n = len(weights)
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights), positions).clip(max=n - 1)
+    return np.minimum(np.searchsorted(np.add.accumulate(weights), positions), n - 1)
 
 
 def _levels(matrix: np.ndarray) -> list[list[int]]:
@@ -193,38 +200,49 @@ def rbpf_step(
 
     Rows are sampled by dependency level (``_levels``): level 0, which reads no
     taken column, once for all particles as (rows, columns) arrays, and each
-    later level as one (P, rows, columns) batch.  Exact: with finite row sums a
+    later level as one (P, rows, columns) batch.  A frame whose rows all sit
+    in level 0 (no real column with mass in two rows) is sampled whole,
+    without the split.  Exact: with finite row sums a
     particle only picks a column with mass, so a real column a row could see
     taken lies in its support, and only earlier rows of lower levels take it.
     Each row sees the row loop's taken columns; factors multiply in row order.
     """
+    # Contiguous rows: the row sums below add in the order the levels' row gathers do.
+    matrix = np.ascontiguousarray(matrix)
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1
     particles = len(ps.weights)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if not (np.isfinite(np.add.reduce(matrix, axis=1)).all() and (matrix >= 0.0).all()):
+        totals = np.add.reduce(matrix, axis=1, keepdims=True)
+        # A NaN entry or total fails its comparison; ``initial`` admits 0 rows.
+        if not (np.minimum.reduce(matrix, axis=None, initial=0.0) >= 0.0
+                and np.maximum.reduce(totals, axis=None, initial=0.0) < np.inf):
             raise ValueError(
                 "association matrix rows must have finite sums and no negative entry"
             )
         # (P, n, 1) is the (P, n) particle-major stream with a trailing axis.
         uniforms = rng.random((particles, n_det, 1))
-        assignments = np.empty((particles, n_det), dtype=np.int64)
-        # 0.0 where a particle took a real column: entries are finite and >= 0,
-        # so a row times ``free`` zeroes the taken ones exactly; level 0 skips it.
-        # A row with no mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
-        free = np.ones((particles, n_cols))
-        each = np.arange(particles)[:, None]
-        for k, rows in enumerate(map(np.array, _levels(matrix))):
-            level = matrix.take(rows, axis=0)
-            probs = level * free[:, None] if k else level
-            # take, np.add.reduce/accumulate: a row gather, sum and cumsum, cheaper per call.
-            total = np.add.reduce(probs, axis=-1, keepdims=True)
-            cdf = np.add.accumulate(probs / total, axis=-1)
-            cdf /= cdf[..., -1:]
-            cols = np.add.reduce(cdf <= uniforms.take(rows, axis=1), axis=2)
-            np.copyto(cols, new_col, where=total[..., 0] <= 0.0)
-            assignments[:, rows] = cols
-            free[each, cols] = cols == new_col
+        support = matrix[:, :-1] > 0.0
+        if np.count_nonzero(support) == np.count_nonzero(np.logical_or.reduce(support)):
+            # One level: no real column has mass in two rows, so no row can
+            # find its column taken.  Every row at once, straight into ``assignments``.
+            assignments = _draw(matrix, totals, uniforms, new_col)
+        else:
+            assignments = np.empty((particles, n_det), dtype=np.int64)
+            # 0.0 where a particle took a real column: entries are finite and >= 0,
+            # so a row times ``free`` zeroes the taken ones exactly; level 0 skips it.
+            # A row with no mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
+            free = np.ones((particles, n_cols))
+            each = np.arange(particles)[:, None]
+            for k, rows in enumerate(map(np.array, _levels(matrix))):
+                # take: a row gather, cheaper per call than fancy indexing.
+                probs = matrix.take(rows, axis=0)
+                if k:
+                    probs = probs * free[:, None]
+                cols = _draw(probs, np.add.reduce(probs, axis=-1, keepdims=True),
+                             uniforms.take(rows, axis=1), new_col)
+                assignments[:, rows] = cols
+                free[each, cols] = cols == new_col
     # One sequential product over [weight | factors in row order], as the
     # row-by-row loop's ``weights *= factor``; a pairwise reduce would
     # multiply in another order.
@@ -232,14 +250,32 @@ def rbpf_step(
     weights = np.multiply.accumulate(
         np.concatenate((ps.weights[:, None], factors), axis=1), axis=1
     )[:, -1]
-
-    total = weights.sum()
-    weights = np.full(particles, 1.0 / particles) if total <= 0.0 else weights / total
-
-    consensus = assignments[int(np.argmax(weights))].copy()
+    total = np.add.reduce(weights)
+    if total <= 0.0:
+        weights = np.full(particles, 1.0 / particles)
+    else:
+        weights /= total
+    consensus = assignments[weights.argmax()].copy()
 
     if effective_sample_size(weights) < particles / 2.0:
         assignments = assignments[systematic_resample(weights, rng)]
         weights = np.full(particles, 1.0 / particles)
 
     return ParticleSet(assignments=assignments, weights=weights), consensus
+
+
+def _draw(probs: np.ndarray, total: np.ndarray, uniforms: np.ndarray, new_col: int) -> np.ndarray:
+    """Each particle's column for each row of ``probs``, by ``Generator.choice``'s
+    arithmetic: ``probs`` is (rows, columns), or (P, rows, columns) after
+    taken columns were zeroed; ``total`` its row sums with a trailing axis and
+    ``uniforms`` the (P, rows, 1) draws.  A row without mass takes ``new_col``.
+
+    A row with mass has a non-decreasing ``cdf`` that ends at exactly 1.0, above
+    every uniform, so its first column above u is the count of ``cdf <= u``.
+    """
+    cdf = np.add.accumulate(probs / total, axis=-1)
+    cdf /= cdf[..., -1:]
+    cols = (cdf > uniforms).argmax(axis=-1)
+    if not np.minimum.reduce(total, axis=None, initial=np.inf) > 0.0:
+        np.copyto(cols, new_col, where=total[..., 0] <= 0.0)
+    return cols

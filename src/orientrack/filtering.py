@@ -3,6 +3,15 @@
 State is (cx, cy, w, h, vx, vy) in pixels and pixels/frame; measurements are
 (cx, cy, w, h).  The transition is linear, so the filter is an ordinary
 Kalman filter.
+
+The measurement matrix is H = [I 0], so its products are applied as slices:
+H P H^T is ``cov[..., :4, :4]``, (P H^T)^T is ``cov[..., :4, :]``, H x is
+``mean[..., :4]`` and K H fills the first four columns of I - K H.  The terms
+the products would add are exact zeros, so for a covariance that is exactly
+symmetric and finite the slices give the bytes of the matrix products (a
+non-finite entry would make its zero terms NaN, and (P H^T)^T reads the rows
+of P where the product reads its columns).  ``predict`` and ``update`` return
+exactly symmetric covariances, the average of the result and its transpose.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ MEAS_MATRIX[:4, :4] = np.eye(4)
 PROCESS_WEIGHTS = np.array([0.25, 0.25, 0.25, 0.25, 1.0, 1.0])
 
 INITIAL_COV_DIAG = np.array([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
+
+_PROCESS_COV = np.diag(PROCESS_WEIGHTS)
+_MEAS_EYE = np.eye(MEAS_DIM)
+_STATE_EYE = np.eye(STATE_DIM)
 
 
 @dataclass
@@ -51,28 +64,41 @@ def initial_state(z: np.ndarray) -> TrackState:
     return TrackState(mean=mean, cov=cov.copy())
 
 
+def _symmetrized(cov: np.ndarray) -> np.ndarray:
+    """``(cov + cov^T) / 2`` of a fresh (..., 6, 6) array, written into it."""
+    cov += cov.swapaxes(-1, -2)
+    cov /= 2.0
+    return cov
+
+
 def predict(state: TrackState, q: float = 1.0) -> TrackState:
     """One-step prediction under the dt=1 constant-velocity model."""
     mean = state.mean @ TRANSITION.T
-    cov = TRANSITION @ state.cov @ TRANSITION.T + q * np.diag(PROCESS_WEIGHTS)
-    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
+    cov = TRANSITION @ state.cov @ TRANSITION.T
+    cov += q * _PROCESS_COV
+    return TrackState(mean=mean, cov=_symmetrized(cov))
 
 
 def _innovation_cov(cov: np.ndarray, r: float) -> np.ndarray:
-    """Innovation covariance of one (6, 6) state covariance or a (T, 6, 6) stack."""
-    return MEAS_MATRIX @ cov @ MEAS_MATRIX.T + r * np.eye(MEAS_DIM)
+    """Innovation covariance H P H^T + r I of one (6, 6) state covariance or a (T, 6, 6) stack."""
+    return cov[..., :MEAS_DIM, :MEAS_DIM] + r * _MEAS_EYE
 
 
 def update(state: TrackState, z: np.ndarray, r: float = 10.0) -> TrackState:
-    """Kalman update by one (4,) measurement per track; Joseph form keeps the covariance PSD."""
-    S = _innovation_cov(state.cov, r)
-    PHt = state.cov @ MEAS_MATRIX.T
-    K = np.linalg.solve(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
-    innovation = z - state.mean @ MEAS_MATRIX.T
+    """Kalman update by one (4,) measurement per track; Joseph form keeps the covariance PSD.
+
+    The gain K = P H^T S^-1 is solved as (S^-1 (P H^T)^T)^T, with S and P symmetric.
+    """
+    cov = state.cov
+    K = np.linalg.solve(_innovation_cov(cov, r), cov[..., :MEAS_DIM, :]).swapaxes(-1, -2)
+    innovation = z - state.mean[..., :MEAS_DIM]
     mean = state.mean + (K @ innovation[..., None])[..., 0]
-    IKH = np.eye(STATE_DIM) - K @ MEAS_MATRIX
-    cov = IKH @ state.cov @ IKH.swapaxes(-1, -2) + r * (K @ K.swapaxes(-1, -2))
-    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
+    IKH = np.empty(K.shape[:-1] + (STATE_DIM,))
+    IKH[...] = _STATE_EYE
+    IKH[..., :MEAS_DIM] -= K
+    joseph = IKH @ cov @ IKH.swapaxes(-1, -2)
+    joseph += r * (K @ K.swapaxes(-1, -2))
+    return TrackState(mean=mean, cov=_symmetrized(joseph))
 
 
 def squared_mahalanobis(
@@ -85,7 +111,7 @@ def squared_mahalanobis(
     solved against all measurements' innovations at once.
     """
     z = np.asarray(measurements, dtype=float).reshape(-1, MEAS_DIM)
-    means = states.mean.reshape(-1, STATE_DIM) @ MEAS_MATRIX.T
+    means = states.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM]
     S = _innovation_cov(states.cov.reshape(-1, STATE_DIM, STATE_DIM), r)
     innovations = z[None, :, :] - means[:, None, :]  # (T, N, 4)
     solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))  # (T, 4, N)

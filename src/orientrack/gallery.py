@@ -11,7 +11,10 @@ an insert count per row, so binned memory is proportional to persons x bins.
 The store holds exactly its rows, with no spare capacity: a block insert
 appends its new rows in one copy, and ``discard`` keeps the other rows.
 ``distances`` reads every stored row, by owner segments, into one
-detections x persons nearest-row matrix.
+detections x persons nearest-row matrix.  The segments (the rows in stable
+owner order, each owner once and the head row of its segment) are recomputed
+on the first read after rows were appended or discarded; updating a running
+mean moves no row, so reads between appends reuse them.
 
 Distances are summed as ``np.linalg.norm`` sums them, byte for byte, but with
 whole-array adds instead of one reduction per row pair.  ``_pairwise_sum``
@@ -100,6 +103,8 @@ class Gallery:
         self._counts = np.empty(0, dtype=np.int64)
         # Binned strategies: (person, bin) -> row of its running mean.
         self._row_of: dict[tuple[int, int], int] = {}
+        # (order, owners, heads) of the current rows; None after an append or discard.
+        self._segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _block(self, features) -> np.ndarray:
         """Validate an (n, d) block of finite features against the gallery dimension."""
@@ -132,9 +137,10 @@ class Gallery:
         ``full`` appends every row; binned strategies append a row per new
         (person, bin) key and update each stored key's running mean.
         ``random`` draws ``rng.integers(bins, size=n)``, the stream of n
-        single draws.  A key that repeats within the block is applied in
-        rounds: round k inserts the k-th occurrence of every key, so each
-        key's rows update its mean in block order.
+        single draws.  A block whose keys are distinct is applied in one
+        step.  A key that repeats within the block is applied in rounds:
+        round k inserts the k-th occurrence of every key, so each key's rows
+        update its mean in block order.
         """
         feats = self._block(features)
         persons = np.asarray(persons, dtype=np.int64)
@@ -154,10 +160,13 @@ class Gallery:
             if bins is None:
                 raise ValueError("orientation-binned gallery requires an explicit bin")
             targets = np.asarray(bins, dtype=np.int64).reshape(len(persons)).tolist()
-            for target in targets:
-                if not 0 <= target < self.bins:
-                    raise ValueError(f"bin {target} out of range [0, {self.bins})")
+            if min(targets) < 0 or max(targets) >= self.bins:
+                bad = next(t for t in targets if not 0 <= t < self.bins)
+                raise ValueError(f"bin {bad} out of range [0, {self.bins})")
         keys = list(zip(persons.tolist(), targets))
+        if len(set(keys)) == len(keys):
+            self._apply(keys, persons, feats)
+            return
         rounds: list[list[int]] = []
         occurrences: dict[tuple[int, int], int] = {}
         for i, key in enumerate(keys):
@@ -168,21 +177,28 @@ class Gallery:
         for members in rounds:
             # The first round appends every new key in the order single
             # inserts would; later rounds only update stored keys.
-            rows = [self._row_of.get(keys[i], -1) for i in members]
-            fresh = [i for i, row in zip(members, rows) if row < 0]
-            if fresh:
-                start = self._append(persons[fresh], feats[fresh])
-                self._row_of.update(zip([keys[i] for i in fresh], range(start, start + len(fresh))))
-            stored = [i for i, row in zip(members, rows) if row >= 0]
-            if stored:
-                old = np.array([row for row in rows if row >= 0])
-                count = self._counts[old, None]
-                self._vectors[old] = (count * self._vectors[old] + feats[stored]) / (count + 1)
-                self._counts[old] = count[:, 0] + 1
+            self._apply([keys[i] for i in members], persons[members], feats[members])
+
+    def _apply(self, keys: list, persons: np.ndarray, feats: np.ndarray) -> None:
+        """Insert the rows of a block whose (person, bin) ``keys`` are distinct:
+        append the new keys' rows in order, and update the stored keys' means."""
+        rows = [self._row_of.get(key, -1) for key in keys]
+        if -1 in rows:
+            fresh = [i for i, row in enumerate(rows) if row < 0]
+            start = self._append(persons[fresh], feats[fresh])
+            self._row_of.update(zip([keys[i] for i in fresh], range(start, start + len(fresh))))
+            stored = [i for i, row in enumerate(rows) if row >= 0]
+            rows, feats = [rows[i] for i in stored], feats[stored]
+        if rows:
+            old = np.array(rows)
+            count = self._counts[old, None]
+            self._vectors[old] = (count * self._vectors[old] + feats) / (count + 1)
+            self._counts[old] = count[:, 0] + 1
 
     def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
         """Append a row per person, each at insert count 1; returns the first new row."""
         start = len(self._owners)
+        self._segments = None
         # Before the first insert the vectors are (0, 0); reshape gives them d columns.
         self._vectors = np.concatenate([self._vectors.reshape(start, feats.shape[1]), feats])
         self._owners = np.concatenate([self._owners, persons])
@@ -196,8 +212,19 @@ class Gallery:
             return
         self._vectors, self._owners, self._counts = (
             self._vectors[kept], self._owners[kept], self._counts[kept])
+        self._segments = None
         moved = dict(zip(kept.tolist(), range(len(kept))))
         self._row_of = {key: moved[row] for key, row in self._row_of.items() if row in moved}
+
+    def _owner_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows in stable owner order, each owner once in ascending order,
+        and each owner's first position in that order; kept until rows move."""
+        if self._segments is None:
+            order = np.argsort(self._owners, kind="stable")
+            ranked = self._owners[order]
+            heads = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+            self._segments = order, ranked[heads], heads
+        return self._segments
 
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
@@ -208,10 +235,9 @@ class Gallery:
         feats = self._block(features) if len(features) else None
         if feats is None or not len(self._owners):
             return np.full((len(features), len(persons)), np.inf)
-        rows = np.argsort(self._owners, kind="stable")
-        owners, heads = np.unique(self._owners[rows], return_index=True)
-        nearest = np.minimum.reduceat(_distance(self._vectors[rows], feats[:, None]), heads, axis=1)
-        segment = np.searchsorted(owners, persons).clip(max=len(owners) - 1)
+        order, owners, heads = self._owner_segments()
+        nearest = np.minimum.reduceat(_distance(self._vectors[order], feats[:, None]), heads, axis=1)
+        segment = np.minimum(np.searchsorted(owners, persons), len(owners) - 1)
         return np.where(owners[segment] == persons, nearest[:, segment], np.inf)
 
     def min_distance(self, person: int, feat: np.ndarray) -> float:
@@ -222,13 +248,24 @@ class Gallery:
         return float(distance)
 
     def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
-        """Person minimizing min_distance; ties broken by smallest person id."""
+        """Person minimizing min_distance; ties broken by smallest person id.
+
+        ``feat`` is one (d,) row, checked as ``distances`` checks a block.  The
+        distances are read in owner order, where the first row at the minimum
+        belongs to the smallest owner id among the rows at that distance.
+        """
         if not len(self._owners):
             raise KeyError("empty gallery")
-        dist = _distance(self._vectors, self._block([feat])[0])
-        best = dist[dist.argmin()]
-        # argmin gives the first row at the minimum; the tie-break wants the smallest id.
-        return min(self._owners[dist == best].tolist()), float(best)
+        if feat.ndim != 1:
+            raise ValueError(f"features must form an (n, d) block, got shape {(1, *feat.shape)}")
+        if feat.shape[0] != self._dim:
+            raise ValueError(f"feature dimension {feat.shape[0]} != gallery dimension {self._dim}")
+        if not np.isfinite(feat).all():
+            raise ValueError("feature contains non-finite values")
+        order = self._owner_segments()[0]
+        dist = _distance(self._vectors, feat)[order]
+        best = dist.argmin()
+        return int(self._owners[order[best]]), float(dist[best])
 
     def stored_vectors(self) -> int:
         """Total number of stored vectors (running means count as one each)."""

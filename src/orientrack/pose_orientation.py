@@ -104,12 +104,9 @@ def orientation_from_keypoints(
     return Orientation(s2t=ratio, bin=orientation_bin(ratio, bins, smax), valid=True)
 
 
-# The four pairs of ``s2t_ratio`` as flat indices into 18 x 3 values, one
-# column each: width (rs, ls) and (rh, lh) on x, height (rh, rs) and (lh, ls)
-# on y.  Rows: first and second coordinate, first and second confidence.
-_FIRST = 3 * np.array([RIGHT_SHOULDER, RIGHT_HIP, RIGHT_HIP, LEFT_HIP])
-_SECOND = 3 * np.array([LEFT_SHOULDER, LEFT_HIP, RIGHT_SHOULDER, LEFT_SHOULDER])
-_PAIRS = np.stack([_FIRST + [0, 0, 1, 1], _SECOND + [0, 0, 1, 1], _FIRST + 2, _SECOND + 2])
+# Flat indices of the four torso triples (rs, ls, rh, lh) among 18 x 3 values.
+_TORSO_VALUES = (3 * np.array([RIGHT_SHOULDER, LEFT_SHOULDER, RIGHT_HIP, LEFT_HIP])[:, None]
+                 + np.arange(3)).ravel()
 
 
 def orientation_bins(
@@ -117,25 +114,37 @@ def orientation_bins(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(bins, valid)`` of an (n, 18, 3) keypoint block, two (n,) arrays.
 
-    The block form of ``orientation_from_keypoints``: the same elementwise
-    operations in the same order, so on finite keypoints with confidences
-    in [0, 1] (what ``parse_keypoints`` accepts) row i gets that function's
-    bin and validity bit for bit; invalid rows get ``fallback_bin(bins)``.
+    The block form of ``orientation_from_keypoints``: one gather of the 12
+    torso values per row, then ``s2t_ratio`` and ``orientation_bin``'s float
+    operations in the same order on Python floats, so on finite keypoints
+    row i gets that function's bin and validity bit for bit; invalid rows get
+    ``fallback_bin(bins)``.  A frame holds a few to a few dozen rows, where
+    this costs less than the twenty-odd array operations of an elementwise
+    form.
     """
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
     if smax <= 0:
         raise ValueError(f"smax must be positive, got {smax}")
-    # Each of the four is (pair, detection).
-    first, second, c_first, c_second = keypoints.reshape(-1, 3 * 18).T[_PAIRS]
-    weight = c_first + c_second
-    # A pair contributes only when both endpoints were observed.
-    terms = np.where(np.minimum(c_first, c_second) > 0.0, weight * (first - second), 0.0)
-    total = weight[0] + c_first[1] + c_second[1]  # c_rs + c_ls + c_rh + c_lh
-    # Invalid rows divide by zero; their values are replaced below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        width, height = (terms[0::2] + terms[1::2]) / total
-        valid = (total > 0.0) & (np.abs(height) >= DEGENERATE_HEIGHT_EPS)
-        clamped = np.minimum(np.maximum(width / height, -smax), smax)
-        index = np.minimum(np.floor((clamped + smax) / (2.0 * smax) * bins), bins - 1)
-    return np.where(valid, index, fallback_bin(bins)).astype(np.int64), valid
+    fallback = fallback_bin(bins)
+    out, valid = [], []
+    torso = keypoints.reshape(-1, 3 * 18).take(_TORSO_VALUES, axis=1).tolist()
+    for x_rs, y_rs, c_rs, x_ls, y_ls, c_ls, x_rh, y_rh, c_rh, x_lh, y_lh, c_lh in torso:
+        total = c_rs + c_ls + c_rh + c_lh
+        if total <= 0.0:
+            out.append(fallback)
+            valid.append(False)
+            continue
+        # A pair contributes only when both endpoints were observed.
+        width = ((0.0 if c_rs <= 0.0 or c_ls <= 0.0 else (c_rs + c_ls) * (x_rs - x_ls))
+                 + (0.0 if c_rh <= 0.0 or c_lh <= 0.0 else (c_rh + c_lh) * (x_rh - x_lh))) / total
+        height = ((0.0 if c_rs <= 0.0 or c_rh <= 0.0 else (c_rs + c_rh) * (y_rh - y_rs))
+                  + (0.0 if c_ls <= 0.0 or c_lh <= 0.0 else (c_ls + c_lh) * (y_lh - y_ls))) / total
+        if abs(height) < DEGENERATE_HEIGHT_EPS:
+            out.append(fallback)
+            valid.append(False)
+            continue
+        clamped = min(max(width / height, -smax), smax)
+        out.append(min(math.floor((clamped + smax) / (2.0 * smax) * bins), bins - 1))
+        valid.append(True)
+    return np.array(out, dtype=np.int64), np.array(valid, dtype=bool)

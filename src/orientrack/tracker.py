@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .io_formats import (
 from .pose_orientation import orientation_bins, orientation_from_keypoints  # noqa: F401
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid
+_BOX = attrgetter("bb_left", "bb_top", "bb_width", "bb_height")  # DetectionRecord.box
 
 
 class MissingInputError(ValueError):
@@ -120,8 +123,11 @@ class Tracker:
         Inputs are gathered first: a MissingInputError leaves the tracker as it was."""
         cfg = self.config
         count = len(detections)
-        boxes = np.array([d.box for d in detections]).reshape(count, 4)
-        measurements = filtering.box_to_measurement(*boxes.T)
+        # ``filtering.box_to_measurement``'s arithmetic, on the Python floats of each box.
+        measurements = np.array(
+            [(left + width / 2.0, top + height / 2.0, width, height)
+             for left, top, width, height in map(_BOX, detections)], dtype=float,
+        ).reshape(count, filtering.MEAS_DIM)
         feats = bins = None
         if count and cfg.mode != association.POS_ONLY:
             table = features.entries if features is not None else {}
@@ -157,19 +163,21 @@ class Tracker:
         # rows are distinct and update in place.
         matched = consensus < len(self.tracks)
         rows = consensus[matched]
+        mean, cov = self._state.mean, self._state.cov
         post = filtering.update(
-            filtering.TrackState(self._state.mean[rows], self._state.cov[rows]),
-            measurements[matched], cfg.r,
+            filtering.TrackState(mean[rows], cov[rows]), measurements[matched], cfg.r
         )
-        self._state.mean[rows] = post.mean
-        self._state.cov[rows] = post.cov
-        self._hits[rows] += 1
+        mean[rows] = post.mean
+        cov[rows] = post.cov
+        hits = self._hits[rows] + 1
+        self._hits[rows] = hits
         self._misses[rows] = 0
-        confirmed = rows[self._hits[rows] >= cfg.confirm_hits]
-        size = np.maximum(self._state.mean[confirmed, 2:4], _EMIT_MIN_SIZE)
-        out = np.concatenate([self._state.mean[confirmed, :2] - size / 2.0, size], axis=1)
-        emitted = [DetectionRecord(frame, track_id, *box, conf=1.0)
-                   for track_id, box in zip(self.tracks[confirmed].tolist(), out.tolist())]
+        confirmed = rows[hits >= cfg.confirm_hits]
+        centre = mean[confirmed, :4]
+        size = np.maximum(centre[:, 2:], _EMIT_MIN_SIZE)
+        corner = centre[:, :2] - size / 2.0
+        emitted = list(map(DetectionRecord, repeat(frame), self.tracks[confirmed].tolist(),
+                           *corner.T.tolist(), *size.T.tolist(), repeat(1.0)))
 
         det_ids = np.empty(count, dtype=np.int64)
         det_ids[matched] = self.tracks[rows]

@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from orientrack.filtering import (
     MEAS_MATRIX,
+    PROCESS_WEIGHTS,
     TRANSITION,
     TrackState,
     box_to_measurement,
     initial_state,
     mahalanobis,
     predict,
+    squared_mahalanobis,
     update,
 )
 
@@ -184,3 +186,74 @@ class TestStackedMatchesPerRow:
                                     (updated, one_updated)):
                 assert np.array_equal(stacked.mean[t], single.mean)
                 assert np.array_equal(stacked.cov[t], single.cov)
+
+
+def product_predict(state, q):
+    """The transition and process noise as full matrix products."""
+    mean = state.mean @ TRANSITION.T
+    cov = TRANSITION @ state.cov @ TRANSITION.T + q * np.diag(PROCESS_WEIGHTS)
+    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
+
+
+def product_update(state, z, r):
+    """The Joseph-form update with every H product written out as a matrix product."""
+    H = MEAS_MATRIX
+    S = H @ state.cov @ H.T + r * np.eye(4)
+    PHt = state.cov @ H.T
+    K = np.linalg.solve(S.swapaxes(-1, -2), PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
+    mean = state.mean + (K @ (z - state.mean @ H.T)[..., None])[..., 0]
+    IKH = np.eye(6) - K @ H
+    cov = IKH @ state.cov @ IKH.swapaxes(-1, -2) + r * (K @ K.swapaxes(-1, -2))
+    return TrackState(mean=mean, cov=(cov + cov.swapaxes(-1, -2)) / 2.0)
+
+
+def product_squared_mahalanobis(states, z, r):
+    means = states.mean.reshape(-1, 6) @ MEAS_MATRIX.T
+    covs = states.cov.reshape(-1, 6, 6)
+    S = MEAS_MATRIX @ covs @ MEAS_MATRIX.T + r * np.eye(4)
+    innovations = z[None, :, :] - means[:, None, :]
+    solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))
+    return np.einsum("tnk,tkn->nt", innovations, solved)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSlicedFormsMatchProducts:
+    """H = [I 0] applied by slicing must give the bytes of the matrix products."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 6),
+        steps=st.integers(1, 40),
+        q=st.floats(0.01, 10.0),
+        r=st.floats(0.01, 50.0),
+        whole=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_predict_update_chain_from_initial_state(self, seed, count, steps, q, r, whole):
+        rng = np.random.default_rng(seed)
+        start = np.column_stack([rng.uniform(-500, 500, (count, 2)),
+                                 rng.uniform(5, 200, (count, 2))])
+        velocity = np.column_stack([rng.normal(0, 3, (count, 2)), np.zeros((count, 2))])
+        if whole:  # integer boxes and velocities: exact zeros in innovations and gains
+            start, velocity = np.round(start), np.round(velocity)
+        state = initial_state(start)
+        for step in range(1, steps + 1):
+            expected, state = product_predict(state, q), predict(state, q)
+            assert same_bytes(state.mean, expected.mean)
+            assert same_bytes(state.cov, expected.cov)
+            z = start + step * velocity
+            if not whole:
+                z = z + rng.normal(0, 2, z.shape)
+            assert same_bytes(squared_mahalanobis(state, z, r),
+                              product_squared_mahalanobis(state, z, r))
+            expected, state = product_update(state, z, r), update(state, z, r)
+            assert same_bytes(state.mean, expected.mean)
+            assert same_bytes(state.cov, expected.cov)
+            assert same_bytes(state.cov, state.cov.swapaxes(-1, -2))
+            # One track on its own takes the same path.
+            one = update(predict(TrackState(state.mean[0], state.cov[0]), q), z[0], r)
+            assert same_bytes(one.cov, product_update(
+                product_predict(TrackState(state.mean[0], state.cov[0]), q), z[0], r).cov)

@@ -562,3 +562,62 @@ class TestStoreHoldsExactlyItsRows:
         g.discard(dropped + [9])
         assert_exact_rows(g)
         assert not np.isin(g._owners, dropped + [9]).any()
+
+
+class ReferenceGalleryWithDiscard(ReferenceGallery):
+    def discard(self, persons):
+        for person in persons:
+            self.vectors.pop(person, None)
+            self.slots.pop(person, None)
+
+
+# One mutation: a block insert, a one-row insert or a discard; persons 0-4.
+mutations = st.one_of(
+    st.tuples(st.just("block"),
+              st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), grid_vectors),
+                       max_size=5)),
+    st.tuples(st.just("insert"), st.tuples(st.integers(0, 4), st.integers(0, 3), grid_vectors)),
+    st.tuples(st.just("discard"), st.lists(st.integers(0, 5), max_size=2)),
+)
+
+
+class TestSegmentsFollowMutations:
+    """Reads between mutations reuse the owner segments; every append and
+    discard must rebuild them before the next read."""
+
+    @given(
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(mutations, min_size=1, max_size=12),
+        queries=st.lists(grid_vectors, min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reads_after_every_mutation_match_the_loops(
+        self, strategy, bins, seed, steps, queries
+    ):
+        g = Gallery(strategy, bins=bins, seed=seed)
+        ref = ReferenceGalleryWithDiscard(strategy, bins, seed)
+        persons = list(range(6))
+        for kind, arg in steps:
+            if kind == "block":
+                g.insert_block([p for p, _, _ in arg],
+                               np.array([f for _, _, f in arg]).reshape(len(arg), 3),
+                               [b % bins for _, b, _ in arg])
+                for person, bin_index, feat in arg:
+                    ref.insert(person, feat, bin_index % bins)
+            elif kind == "insert":
+                person, bin_index, feat = arg
+                g.insert(person, feat, bin=bin_index % bins)
+                ref.insert(person, feat, bin_index % bins)
+            else:
+                g.discard(arg)
+                ref.discard(arg)
+            np.testing.assert_array_equal(g.distances(queries, persons),
+                                          reference_distances(g, queries, persons))
+            for q in queries:
+                if ref.vectors:
+                    assert g.nearest_person(q) == ref.nearest_person(q)
+                else:
+                    with pytest.raises(KeyError):
+                        g.nearest_person(q)

@@ -640,3 +640,31 @@ class TestFuzzedStreams:
             return write_tracks(sorted(out, key=lambda r: (r.frame, r.id))), errors
 
         assert run() == run()
+
+
+class TestLayerCallsGoThroughModules:
+    """Each stage is looked up on its module on every frame, so a wrapper
+    installed there (as perfbench's tracer installs its spans) sees each call."""
+
+    STAGES = [(filtering, "predict"), (filtering, "update"),
+              (association, "position_likelihood"), (association, "appearance_likelihood"),
+              (association, "combine"), (association, "rbpf_step")]
+
+    def test_each_stage_once_per_frame_with_detections(self, monkeypatch):
+        data = generate(SynthConfig(persons=3, frames=8, crossing=True, seed=2))
+        by_frame = group_by_frame(parse_mot(data.det_text))
+        features = parse_features(data.features_text)
+        keypoints = {(k.frame, k.det_index): k for k in parse_keypoints(data.keypoints_text)}
+        calls = {}
+        for module, name in self.STAGES:
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        tracker = Tracker(TrackerConfig(mode="pos_app", gallery="orient", bins=3, seed=1))
+        for frame in range(1, 9):
+            assert by_frame[frame]
+            tracker.process_frame(frame, by_frame[frame], features, keypoints)
+            assert calls == {name: frame for _, name in self.STAGES}
+        tracker.process_frame(9, [], features, keypoints)
+        assert calls == {name: 9 if name == "predict" else 8 for _, name in self.STAGES}
