@@ -4,7 +4,8 @@ Likelihood matrices have one row per detection and one column per active
 track plus a trailing NEW_TRACK column.  Rows are probability distributions
 (softmin of distances, row-normalized); every particle samples one-to-one
 assignments from them afresh each frame, so no association hypothesis
-survives a frame and only particle weights carry over (ROADMAP.md open item 3).
+survives a frame and only particle weights carry over (ROADMAP.md's open item
+"A real Rao-Blackwellized particle filter").
 
 The sampler draws a frame's rows by dependency level rather than one row at
 a time.  A row's support is its set of real-track columns with mass; two rows

@@ -16,6 +16,23 @@ owner order, each owner once and the head row of its segment) are recomputed
 on the first read after rows were appended or discarded; updating a running
 mean moves no row, so reads between appends reuse them.
 
+``nearest_person`` screens every row, then measures only the rows that can
+win.  One matrix-vector product gives each row ``approx = |v|^2/2 - v.q``:
+half its squared distance to the query q, less ``|q|^2/2``, which is the
+same for every row.  After rounding, the row at the exact minimum lies within
+(gamma_(d+1) + gamma_(d+4)) (M + |q|)^2 of the smallest ``approx``, where M
+is the largest row norm, gamma_n = n u / (1 - n u) and u = 2^-53 (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 3).  The margin,
+8 (d + 8) u (M + |q|)^2 + 64 (d + 8) 2^-1074, exceeds that bound; its second
+term covers products and squares that round in the subnormal range.  The rows
+within it are measured with the exact kernel below, and the smallest owner id
+among the rows at the exact minimum wins, with that distance's bytes: the
+answer of a scan over every row.  The screen runs only while
+(M + |q|)^2 < 2^1020, where no product, square or distance can overflow;
+otherwise every row is measured, so distances that overflow to ``inf`` tie.
+The half squared norms and M are recomputed on the first ``nearest_person``
+after a row was appended, discarded or had its running mean updated.
+
 Distances are summed as ``np.linalg.norm`` sums them, byte for byte, but with
 whole-array adds instead of one reduction per row pair.  ``_pairwise_sum``
 writes out numpy's ``pairwise_sum`` order over a contiguous axis of length d:
@@ -27,11 +44,17 @@ check it again on the numpy that runs them.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 STRATEGIES = ("full", "averaged", "random", "orient")
+_UNIT_ROUNDOFF = 2.0 ** -53
+_SMALLEST_SUBNORMAL = 2.0 ** -1074
+# The screen runs only while (M + |q|)^2 stays below 2^1020: no product,
+# square or distance can then overflow.
+_SCREEN_REACH = 2.0 ** 510
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -105,6 +128,8 @@ class Gallery:
         self._row_of: dict[tuple[int, int], int] = {}
         # (order, owners, heads) of the current rows; None after an append or discard.
         self._segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (half squared norm per row, largest row norm); None after any row changes.
+        self._norms: tuple[np.ndarray, float] | None = None
 
     def _block(self, features) -> np.ndarray:
         """Validate an (n, d) block of finite features against the gallery dimension."""
@@ -194,11 +219,12 @@ class Gallery:
             count = self._counts[old, None]
             self._vectors[old] = (count * self._vectors[old] + feats) / (count + 1)
             self._counts[old] = count[:, 0] + 1
+            self._norms = None
 
     def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
         """Append a row per person, each at insert count 1; returns the first new row."""
         start = len(self._owners)
-        self._segments = None
+        self._segments = self._norms = None
         # Before the first insert the vectors are (0, 0); reshape gives them d columns.
         self._vectors = np.concatenate([self._vectors.reshape(start, feats.shape[1]), feats])
         self._owners = np.concatenate([self._owners, persons])
@@ -212,7 +238,7 @@ class Gallery:
             return
         self._vectors, self._owners, self._counts = (
             self._vectors[kept], self._owners[kept], self._counts[kept])
-        self._segments = None
+        self._segments = self._norms = None
         moved = dict(zip(kept.tolist(), range(len(kept))))
         self._row_of = {key: moved[row] for key, row in self._row_of.items() if row in moved}
 
@@ -247,12 +273,27 @@ class Gallery:
             raise KeyError(f"person {person} has no stored features")
         return float(distance)
 
-    def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
-        """Person minimizing min_distance; ties broken by smallest person id.
+    def _row_norms(self) -> tuple[np.ndarray, float]:
+        """Half the squared norm of every row and the largest row norm M; kept
+        until a row is appended, discarded or updated.  A row whose squared
+        norm overflows makes M ``inf``, which turns the screen off."""
+        if self._norms is None:
+            with np.errstate(over="ignore"):
+                squares = np.einsum("ij,ij->i", self._vectors, self._vectors)
+            self._norms = 0.5 * squares, math.sqrt(squares.max())
+        return self._norms
 
-        ``feat`` is one (d,) row, checked as ``distances`` checks a block.  The
-        distances are read in owner order, where the first row at the minimum
-        belongs to the smallest owner id among the rows at that distance.
+    def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
+        """Person owning the stored row nearest to ``feat``, and that row's distance.
+
+        ``feat`` is one (d,) row, checked as ``distances`` checks a block.
+        The rows within the screen's margin of the smallest
+        ``|v|^2/2 - v.q`` (see the module docstring) are measured exactly; of
+        the rows at the exact minimum the smallest owner id wins, with the
+        distance ``distances`` gives.  When ``(M + |q|)^2`` reaches 2^1020
+        every row is measured.  The row norms behind the screen are
+        recomputed on the first call after any append, discard or
+        running-mean update.
         """
         if not len(self._owners):
             raise KeyError("empty gallery")
@@ -260,12 +301,29 @@ class Gallery:
             raise ValueError(f"features must form an (n, d) block, got shape {(1, *feat.shape)}")
         if feat.shape[0] != self._dim:
             raise ValueError(f"feature dimension {feat.shape[0]} != gallery dimension {self._dim}")
-        if not np.isfinite(feat).all():
+        # The norm is finite unless an entry is non-finite or the sum of
+        # squares overflows; only then are the entries checked one by one.
+        norm = math.hypot(*feat.tolist())
+        if not math.isfinite(norm) and not np.isfinite(feat).all():
             raise ValueError("feature contains non-finite values")
-        order = self._owner_segments()[0]
-        dist = _distance(self._vectors, feat)[order]
-        best = dist.argmin()
-        return int(self._owners[order[best]]), float(dist[best])
+        half_squares, largest = self._row_norms()
+        reach = largest + norm
+        rows = slice(None)
+        if reach < _SCREEN_REACH:
+            approx = half_squares - self._vectors.dot(feat)
+            row = approx.argmin()
+            terms = self._dim + 8
+            margin = 8 * terms * (_UNIT_ROUNDOFF * reach * reach + 8 * _SMALLEST_SUBNORMAL)
+            near = approx <= approx[row] + margin
+            if np.count_nonzero(near) == 1:
+                # One contiguous row: np.add.reduce sums it in the pairwise
+                # order that _pairwise_sum copies.
+                diff = self._vectors[row] - feat
+                return int(self._owners[row]), math.sqrt(np.add.reduce(diff * diff))
+            rows = np.flatnonzero(near)
+        dist = _distance(self._vectors[rows], feat)
+        best = dist.min()
+        return int(self._owners[rows][dist == best].min()), float(best)
 
     def stored_vectors(self) -> int:
         """Total number of stored vectors (running means count as one each)."""

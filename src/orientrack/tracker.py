@@ -10,7 +10,8 @@ each.  A track is emitted once it has ``confirm_hits`` hits and dropped after
 more than ``max_age`` misses; its gallery rows go with its Kalman rows.
 
 Association runs a particle set whose assignments are re-sampled from
-scratch every frame (only weights carry over; ROADMAP.md open item 3).
+scratch every frame (only weights carry over; see ROADMAP.md's open item
+"A real Rao-Blackwellized particle filter").
 Filters and the appearance gallery, keyed by track id, are mutated from the
 consensus (highest-weight) particle only; per-particle filter banks are out
 of scope.

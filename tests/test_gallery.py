@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from orientrack import gallery as gallery_module
 from orientrack.gallery import Gallery, _pairwise_sum
 
 
@@ -621,3 +624,110 @@ class TestSegmentsFollowMutations:
                 else:
                     with pytest.raises(KeyError):
                         g.nearest_person(q)
+
+
+def scan_nearest_person(g, feat):
+    """``nearest_person`` without a screen: every row's distance, read in
+    stable owner order, and the first row at the minimum."""
+    order = np.argsort(g._owners, kind="stable")
+    dist = np.linalg.norm(g._vectors[order] - feat, axis=-1)
+    best = dist.argmin()
+    return int(g._owners[order[best]]), float(dist[best])
+
+
+def runtime_warnings(read, feat):
+    """``read(feat)`` and the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = read(feat)
+    return result, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# Ordinary values; magnitudes whose squares and products round in the
+# subnormal range; and magnitudes whose distances overflow to inf and tie.
+screen_scales = st.just(1.0) | (st.floats(-320, -150) | st.floats(150, 160)).map(
+    lambda exponent: 10.0 ** exponent)
+
+
+class TestScreenMatchesScan:
+    """``nearest_person`` measures only the rows its matrix-vector screen
+    keeps; it must return the scan's person and distance bytes."""
+
+    @given(
+        data=st.data(),
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        dim=st.sampled_from([1, 8, 9, 128, 129, 300]),
+        scale=screen_scales,
+        atom_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reads_after_every_mutation_match_the_scan(
+        self, data, strategy, bins, seed, dim, scale, atom_seed
+    ):
+        # Rows and queries are three small-integer atoms, each scaled and
+        # maybe moved by one ulp in one coordinate: equal rows under
+        # different owners, exact ties and last-bit neighbours.
+        atoms = np.random.default_rng(atom_seed).integers(-2, 3, (3, dim)) * scale
+        vectors = st.tuples(st.integers(0, 2), st.integers(-1, 1), st.integers(0, dim - 1))
+
+        def vector(atom, ulps, coordinate):
+            v = atoms[atom].copy()
+            if ulps:
+                v[coordinate] = np.nextafter(v[coordinate], ulps * np.inf)
+            return v
+
+        entries = st.tuples(st.integers(0, 4), st.integers(0, 2), vectors)
+        steps = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("block"), st.lists(entries, min_size=1, max_size=6)),
+            st.tuples(st.just("insert"), entries),
+            st.tuples(st.just("discard"), st.lists(st.integers(0, 5), max_size=2)),
+        ), min_size=1, max_size=10))
+        queries = [vector(*q) for q in data.draw(st.lists(vectors, min_size=1, max_size=3))]
+        g = Gallery(strategy, bins=bins, seed=seed)
+        for kind, arg in steps:
+            if kind == "block":
+                g.insert_block([p for p, _, _ in arg], np.array([vector(*v) for _, _, v in arg]),
+                               [b % bins for _, b, _ in arg])
+            elif kind == "insert":
+                person, bin_index, v = arg
+                g.insert(person, vector(*v), bin=bin_index % bins)
+            else:
+                g.discard(arg)
+            for q in queries:
+                if not g.stored_vectors():
+                    with pytest.raises(KeyError):
+                        g.nearest_person(q)
+                    continue
+                expected, scan_warned = runtime_warnings(lambda f: scan_nearest_person(g, f), q)
+                got, warned = runtime_warnings(g.nearest_person, q)
+                assert got == expected
+                assert np.float64(got[1]).tobytes() == np.float64(expected[1]).tobytes()
+                if not scan_warned:
+                    assert not warned
+
+    def test_subnormal_squares_keep_every_tied_row(self):
+        # Squares near 2^-1074 round by a whole subnormal step, so equal
+        # exact distances can rank apart in the screen; the margin's
+        # absolute term keeps them both.
+        for a in np.geomspace(1e-163, 1e-161, 200):
+            g = Gallery("full")
+            g.insert_block([1, 0, 2], np.array([[a], [2 * a], [-a]]))
+            for q in ([a], [2 * a], [0.0]):
+                assert g.nearest_person(np.array(q)) == scan_nearest_person(g, np.array(q))
+
+    def test_a_clear_winner_is_measured_alone(self, monkeypatch):
+        # Distinct random rows leave one row within the margin, which is
+        # measured without the block kernel.
+        rng = np.random.default_rng(0)
+        g = Gallery("full")
+        g.insert_block(np.arange(1600) % 50, rng.standard_normal((1600, 8)))
+        queries = rng.standard_normal((20, 8))
+        expected = [scan_nearest_person(g, q) for q in queries]
+
+        def block_kernel(a, b):
+            raise AssertionError("more than one row passed the screen")
+
+        monkeypatch.setattr(gallery_module, "_distance", block_kernel)
+        assert [g.nearest_person(q) for q in queries] == expected
