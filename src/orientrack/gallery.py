@@ -92,6 +92,21 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """``values`` as int64; raises ValueError for one that is not an int64 integer.
+
+    An integer array passes on its dtype alone, with no look at its values.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array.astype(np.int64, copy=False)
+    floats = array.astype(np.float64)
+    whole = (np.floor(floats) == floats) & (np.abs(floats) < 2.0 ** 63)
+    if not whole.all():
+        raise ValueError(f"{name} {floats[~whole].flat[0]} is not an integer")
+    return floats.astype(np.int64)
+
+
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean norm of ``a - b`` over the last axis, as ``np.linalg.norm`` sums it.
 
@@ -168,11 +183,18 @@ class Gallery:
         update its mean in block order.
         """
         feats = self._block(features)
-        persons = np.asarray(persons, dtype=np.int64)
+        persons = _whole_numbers(persons, "person id")
         if len(persons) != len(feats):
             raise ValueError(f"{len(persons)} persons for {len(feats)} feature rows")
         if not len(feats):
             return
+        if self.strategy == "orient":
+            if bins is None:
+                raise ValueError("orientation-binned gallery requires an explicit bin")
+            targets = _whole_numbers(bins, "bin").reshape(len(persons)).tolist()
+            if min(targets) < 0 or max(targets) >= self.bins:
+                bad = next(t for t in targets if not 0 <= t < self.bins)
+                raise ValueError(f"bin {bad} out of range [0, {self.bins})")
         self._dim = feats.shape[1]
         if self.strategy == "full":
             self._append(persons, feats)
@@ -181,13 +203,6 @@ class Gallery:
             targets = [0] * len(persons)
         elif self.strategy == "random":
             targets = self._rng.integers(self.bins, size=len(persons)).tolist()
-        else:  # orient
-            if bins is None:
-                raise ValueError("orientation-binned gallery requires an explicit bin")
-            targets = np.asarray(bins, dtype=np.int64).reshape(len(persons)).tolist()
-            if min(targets) < 0 or max(targets) >= self.bins:
-                bad = next(t for t in targets if not 0 <= t < self.bins)
-                raise ValueError(f"bin {bad} out of range [0, {self.bins})")
         keys = list(zip(persons.tolist(), targets))
         if len(set(keys)) == len(keys):
             self._apply(keys, persons, feats)

@@ -39,9 +39,9 @@ from .io_formats import (
     parse_keypoints,
     parse_mot,
 )
-# ``orientation_from_keypoints``, the scalar form that ``orientation_bins`` must
-# match, stays importable from here for callers (and perfbench's tracer) that
-# look it up here.
+# ``orientation_from_keypoints`` is unused here (``orientation_bins`` shares its
+# row rule); it stays importable from here for callers, perfbench's tracer
+# among them, that look it up in this module by name.
 from .pose_orientation import orientation_bins, orientation_from_keypoints  # noqa: F401
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid

@@ -446,6 +446,29 @@ class TestInsertBlock:
             g.insert_block([1], feats, [0, 1])
         assert g.stored_vectors() == 0
 
+    @pytest.mark.parametrize("strategy, persons, bins", [
+        ("full", [1.5, 2.7], None),
+        ("averaged", [1, np.nan], None),
+        ("orient", [1, 2], [0.9, 2.5]),
+        ("orient", [1, 2], [1, np.inf]),
+        ("orient", [1.0, 2.0], [0.0, 1e19]),
+    ])
+    def test_non_integral_id_or_bin_is_rejected_before_any_write(self, strategy, persons, bins):
+        g = Gallery(strategy, bins=3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            g.insert_block(persons, np.ones((2, 2)), bins)
+        assert g.stored_vectors() == 0
+        # Nothing was written: a block of another width is still accepted.
+        g.insert_block([1.0, 2.0], np.ones((2, 3)), [0.0, 2.0])
+        assert g.stored_vectors() == 2 and g._owners.tolist() == [1, 2]
+
+    def test_rejected_bin_leaves_the_dimension_unset(self):
+        g = Gallery("orient", bins=2)
+        with pytest.raises(ValueError, match="out of range"):
+            g.insert_block([1, 2], np.ones((2, 2)), [0, 2])
+        g.insert_block([1, 2], np.ones((2, 3)), [0, 1])
+        assert g.stored_vectors() == 2
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -94,6 +94,23 @@ def torso_height(t: TorsoPoints) -> float:
     )
 
 
+def s2t_oracle(t: TorsoPoints) -> float | None:
+    """The S2T formula written out apart from the library: the confidence-weighted
+    right-minus-left width over ``torso_height``, None where it is unavailable."""
+    (x_rs, _, c_rs), (x_ls, _, c_ls), (x_rh, _, c_rh), (x_lh, _, c_lh) = points(t)
+    total = c_rs + c_ls + c_rh + c_lh
+    if total <= 0.0:
+        return None
+    height = torso_height(t)
+    if abs(height) < 1e-6:
+        return None
+
+    def pair(c_a, c_b, delta):
+        return (c_a + c_b) * delta if c_a > 0.0 and c_b > 0.0 else 0.0
+
+    return (pair(c_rs, c_ls, x_rs - x_ls) + pair(c_rh, c_lh, x_rh - x_lh)) / total / height
+
+
 def scale_magnitude(t: TorsoPoints, factor: float, cx: float, cy: float) -> float:
     """The largest magnitude among the values scale_about forms."""
     values = [cx, cy]
@@ -314,3 +331,84 @@ class TestScalarFormMatchesNumpyRows:
                 continue
             assert got.valid
             assert np.float64(got.s2t).tobytes() == np.float64(expected).tobytes()
+
+
+@st.composite
+def torso_blocks(draw):
+    """(n, 18, 3) blocks whose twelve torso values are each drawn, the other
+    keypoints zero: ``keypoint_blocks`` gives most entries one shared fill value."""
+    n = draw(st.integers(0, 10))
+    block = np.zeros((n, 18, 3))
+    block[:, [2, 5, 8, 11], :2] = draw(
+        arrays(np.float64, (n, 4, 2), elements=block_coordinate, fill=st.nothing()))
+    block[:, [2, 5, 8, 11], 2] = draw(
+        arrays(np.float64, (n, 4), elements=block_confidence, fill=st.nothing()))
+    return block
+
+
+class TestS2tOracle:
+    """Each form's S2T against ``s2t_oracle``, the formula transcribed in this
+    file: the three forms share one row rule, so comparing them with each other
+    no longer checks its arithmetic."""
+
+    @given(
+        block=st.one_of(keypoint_blocks(), torso_blocks()),
+        bins=st.integers(1, 9),
+        smax=st.one_of(st.sampled_from([0.1, 1.0, 2.5]), st.floats(0.01, 10.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_form_equals_the_oracle_bit_for_bit(self, block, bins, smax):
+        got_bins, got_valid = orientation_bins(block, bins, smax)
+        for k, got_bin, got_ok in zip(block, got_bins.tolist(), got_valid.tolist()):
+            t = TorsoPoints(*(tuple(k[i].tolist()) for i in (2, 5, 8, 11)))
+            expected = s2t_oracle(t)
+            scalar = orientation_from_keypoints(k, bins, smax)
+            if expected is None:
+                with pytest.raises(OrientationUnavailable):
+                    s2t_ratio(t)
+                assert not scalar.valid and not got_ok and got_bin == fallback_bin(bins)
+                continue
+            assert np.float64(s2t_ratio(t)).tobytes() == np.float64(expected).tobytes()
+            assert np.float64(scalar.s2t).tobytes() == np.float64(expected).tobytes()
+            assert scalar.valid and got_ok
+            assert got_bin == scalar.bin == orientation_bin(expected, bins, smax)
+
+
+def keypoints_with(rs, ls, rh, lh):
+    kp = np.zeros((18, 3))
+    kp[[2, 5, 8, 11]] = [rs, ls, rh, lh]
+    return kp
+
+
+class TestNonFiniteTorso:
+    """A NaN on an observed keypoint leaves the orientation unavailable; an
+    infinite ratio is clamped like any ratio beyond smax."""
+
+    @pytest.mark.parametrize("torso_values", [
+        ((np.nan, 0, 1), (0, 0, 1), (4, 8, 1), (0, 8, 1)),  # NaN width
+        ((4, 0, 1), (0, 0, 1), (4, np.nan, 1), (0, 8, 1)),  # NaN height
+        ((4, 0, 1), (0, 0, np.nan), (4, 8, 1), (0, 8, 1)),  # NaN confidence
+    ])
+    def test_nan_is_unavailable_in_every_form(self, torso_values):
+        with pytest.raises(OrientationUnavailable):
+            s2t_ratio(TorsoPoints(*torso_values))
+        kp = keypoints_with(*torso_values)
+        orientation = orientation_from_keypoints(kp, bins=5)
+        assert not orientation.valid and orientation.bin == 2 and math.isnan(orientation.s2t)
+        got, valid = orientation_bins(np.stack([kp, kp]), bins=5)
+        assert got.tolist() == [2, 2] and valid.tolist() == [False, False]
+
+    def test_nan_on_an_unobserved_keypoint_is_ignored(self):
+        torso_values = ((4, 0, 1), (np.nan, np.nan, 0), (4, 8, 1), (0, 8, 1))
+        assert s2t_ratio(TorsoPoints(*torso_values)) == 0.5
+        got, valid = orientation_bins(keypoints_with(*torso_values)[None], bins=5)
+        assert got.tolist() == [3] and valid.tolist() == [True]
+
+    @pytest.mark.parametrize("x, expected_bin", [(np.inf, 4), (-np.inf, 0)])
+    def test_infinite_ratio_takes_the_clamped_bin(self, x, expected_bin):
+        torso_values = ((x, 0, 1), (0, 0, 1), (4, 8, 1), (0, 8, 1))
+        assert s2t_ratio(TorsoPoints(*torso_values)) == x
+        kp = keypoints_with(*torso_values)
+        assert orientation_from_keypoints(kp, bins=5) == Orientation(s2t=x, bin=expected_bin, valid=True)
+        got, valid = orientation_bins(kp[None], bins=5)
+        assert got.tolist() == [expected_bin] and valid.tolist() == [True]

@@ -10,6 +10,7 @@ from orientrack.gallery import Gallery
 from orientrack.io_formats import (
     DetectionRecord,
     FeatureTable,
+    KeypointRecord,
     ParseError,
     group_by_frame,
     parse_features,
@@ -356,6 +357,22 @@ class TestNonFiniteInput:
         with pytest.raises(ParseError) as exc:
             run_sequence(TrackerConfig(mode="pos_only"), text)
         assert exc.value.line == 2
+
+
+class TestNonFiniteKeypoints:
+    def test_nan_torso_value_takes_the_fallback_bin(self):
+        # Records built in code can hold NaN; the parsers reject it.
+        rows = [(1, 100.0 + 60.0 * i, 100.0, 40.0, 80.0) for i in range(2)]
+        (detections,) = group_by_frame(parse_mot(det_lines(rows))).values()
+        features = FeatureTable(dim=2, entries={(1, i): np.array([1.0, float(i)]) for i in range(2)})
+        keypoints = {}
+        for i, y_ls in enumerate([np.nan, 0.0]):
+            kp = np.zeros((18, 3))
+            kp[[2, 5, 8, 11]] = [(4, 0, 1), (0, y_ls, 1), (4, 8, 1), (0, 8, 1)]
+            keypoints[(1, i)] = KeypointRecord(frame=1, det_index=i, keypoints=kp)
+        tracker = Tracker(TrackerConfig(mode="pos_app", gallery="orient", bins=3))
+        assert tracker.process_frame(1, detections, features, keypoints) == []
+        assert tracker.gallery._row_of == {(1, fallback_bin(3)): 0, (2, 2): 1}
 
 
 class TestConfigCoercion:
