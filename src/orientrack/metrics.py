@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .gallery import Gallery
 from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, group_by_frame
-from .pose_orientation import fallback_bin, orientation_bin, orientation_from_keypoints
+from .pose_orientation import orientation_bin, s2t_ratios
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -42,15 +42,15 @@ def label_features(
 
     Rows come out in (frame, det_index) order; det_index is the 0-based
     position of the detection within its frame in ``mot`` (file order), and
-    keypoint rows share it.  A detection without a valid orientation gets
-    ``s2t=None``.  Raises ``ValueError`` for a feature row without a MOT row,
-    a negative det_index included.
+    keypoint rows share it.  One ``s2t_ratios`` call reads every record's S2T;
+    a detection without a valid orientation gets ``s2t=None``.  Raises
+    ``ValueError`` for a feature row without a MOT row, a negative det_index
+    included.
     """
-    s2t_by_key: dict[tuple[int, int], float] = {}
-    for record in keypoints or []:
-        orientation = orientation_from_keypoints(record.keypoints, bins=1)
-        if orientation.valid:
-            s2t_by_key[(record.frame, record.det_index)] = orientation.s2t
+    records = keypoints or []
+    ratios = s2t_ratios(np.array([record.keypoints for record in records])).tolist()
+    s2t_by_key = {(record.frame, record.det_index): ratio
+                  for record, ratio in zip(records, ratios) if ratio == ratio}
     by_frame = group_by_frame(mot)
     items: list[LabeledFeature] = []
     for (frame, det_index), vector in sorted(table.entries.items()):
@@ -132,19 +132,15 @@ def build_gallery(
 ) -> Gallery:
     """Populate a gallery from labeled features, binning S2T values over [-1, 1].
 
-    The items go in with one ``Gallery.insert_block`` call, in list order.
+    ``orient`` files each item under ``orientation_bin`` of its S2T, ``None``
+    read as NaN: as in tracking, no valid orientation takes the middle bin and
+    +-inf the edge bin.  Items go in with one ``insert_block``, in list order.
     """
     gallery = Gallery(strategy, bins=bins, seed=seed)
     if not items:
         return gallery
-    if strategy == "orient":
-        targets = [
-            fallback_bin(gallery.bins) if item.s2t is None or not np.isfinite(item.s2t)
-            else orientation_bin(item.s2t, gallery.bins)
-            for item in items
-        ]
-    else:
-        targets = [0] * len(items)
+    targets = [orientation_bin(np.nan if item.s2t is None else item.s2t, gallery.bins)
+               for item in items] if strategy == "orient" else None
     gallery.insert_block(
         [item.person for item in items], np.array([item.vector for item in items]), targets
     )

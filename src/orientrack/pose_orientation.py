@@ -6,11 +6,14 @@ height is taken hip-minus-shoulder so that an upright person has h > 0 and
 the sign of the ratio follows the facing direction: positive means facing
 away from the camera, negative means facing the camera.
 
-``s2t_ratio``, ``orientation_from_keypoints`` and the block form
-``orientation_bins`` all call one row rule, ``_s2t``, on the twelve torso
-values, so they agree by construction.  The block form loops it over its rows
-as Python floats: at 4 rows that took 7.6 us against 29 us for an elementwise
-numpy form (2-core Xeon, Python 3.11).
+Orientation takes two steps.  First a row's S2T, from the one row rule
+``_s2t``, NaN where the orientation is unavailable (``s2t_ratio`` alone raises
+``OrientationUnavailable`` there).  Then that S2T's bin, ``_bin_index``: NaN
+goes to ``fallback_bin`` and +-inf to the clamped edge bin.  Every form goes
+through them (``s2t_ratio`` and ``s2t_ratios`` stop after the first), and so
+does ``metrics.build_gallery``, so tracking and re-ID file a detection alike.
+The block forms loop the row rule over Python floats: at 4 rows that took
+7.6 us against 29 us for an elementwise numpy form (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -89,6 +92,21 @@ def _s2t(x_rs, y_rs, c_rs, x_ls, y_ls, c_ls, x_rh, y_rh, c_rh, x_lh, y_lh, c_lh)
     return ratio
 
 
+def _s2t_or_nan(row: list[float]) -> float:
+    """``_s2t`` of a row's twelve torso values, NaN where the orientation is unavailable."""
+    try:
+        return _s2t(*row)
+    except OrientationUnavailable:
+        return math.nan
+
+
+def s2t_ratios(keypoints: np.ndarray) -> np.ndarray:
+    """S2T of each row of an (n, 18, 3) keypoint block, an (n,) array, NaN where
+    unavailable: one gather of the 12 torso values per row, then the row rule."""
+    rows = keypoints.reshape(-1, 3 * 18).take(_TORSO_VALUES, axis=1).tolist()
+    return np.array([_s2t_or_nan(row) for row in rows], dtype=float)
+
+
 def _check_bin_parameters(bins: int, smax: float) -> None:
     if bins < 1:
         raise ValueError(f"bin count must be >= 1, got {bins}")
@@ -97,13 +115,16 @@ def _check_bin_parameters(bins: int, smax: float) -> None:
 
 
 def _bin_index(s2t: float, bins: int, smax: float) -> int:
-    """The bin of a non-NaN S2T value, for parameters already checked."""
+    """The bin of an S2T value, for parameters already checked; NaN takes the fallback bin."""
+    if s2t != s2t:
+        return fallback_bin(bins)
     clamped = min(max(s2t, -smax), smax)
     return min(math.floor((clamped + smax) / (2.0 * smax) * bins), bins - 1)
 
 
 def orientation_bin(s2t: float, bins: int, smax: float = 1.0) -> int:
-    """Map an S2T value to a bin via a uniform clamped partition of [-smax, smax]."""
+    """Map an S2T value to a bin via a uniform clamped partition of [-smax, smax];
+    NaN, an unavailable orientation, maps to ``fallback_bin(bins)``."""
     _check_bin_parameters(bins, smax)
     return _bin_index(s2t, bins, smax)
 
@@ -111,36 +132,17 @@ def orientation_bin(s2t: float, bins: int, smax: float = 1.0) -> int:
 def orientation_from_keypoints(
     keypoints: np.ndarray, bins: int, smax: float = 1.0
 ) -> Orientation:
-    """Compute the orientation for one detection, falling back to the middle bin."""
-    try:
-        ratio = _s2t(*keypoints.take(_TORSO_VALUES).tolist())
-    except OrientationUnavailable:
-        return Orientation(s2t=float("nan"), bin=fallback_bin(bins), valid=False)
-    return Orientation(s2t=ratio, bin=orientation_bin(ratio, bins, smax), valid=True)
+    """One detection's orientation; an unavailable one has a NaN S2T and the fallback bin."""
+    ratio = _s2t_or_nan(keypoints.take(_TORSO_VALUES).tolist())
+    return Orientation(s2t=ratio, bin=orientation_bin(ratio, bins, smax), valid=ratio == ratio)
 
 
 def orientation_bins(
     keypoints: np.ndarray, bins: int, smax: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(bins, valid)`` of an (n, 18, 3) keypoint block, two (n,) arrays.
-
-    The block form of ``orientation_from_keypoints``: one gather of the 12
-    torso values per row, then ``s2t_ratio``'s own row rule and
-    ``orientation_bin``'s bin step, so row i gets that function's bin and
-    validity; invalid rows get ``fallback_bin(bins)``.  It stays a loop over
-    Python floats: a frame holds a few to a few dozen rows, and at 4 rows the
-    loop took 7.6 us against 29 us for an elementwise form.
-    """
+    """``(bins, valid)`` of an (n, 18, 3) keypoint block, two (n,) arrays: the block
+    form of ``orientation_from_keypoints``, ``s2t_ratios`` then the bin step."""
     _check_bin_parameters(bins, smax)
-    fallback = fallback_bin(bins)
-    out, valid = [], []
-    for row in keypoints.reshape(-1, 3 * 18).take(_TORSO_VALUES, axis=1).tolist():
-        try:
-            ratio = _s2t(*row)
-        except OrientationUnavailable:
-            out.append(fallback)
-            valid.append(False)
-        else:
-            out.append(_bin_index(ratio, bins, smax))
-            valid.append(True)
-    return np.array(out, dtype=np.int64), np.array(valid, dtype=bool)
+    ratios = s2t_ratios(keypoints)
+    out = [_bin_index(ratio, bins, smax) for ratio in ratios.tolist()]
+    return np.array(out, dtype=np.int64), ratios == ratios

@@ -169,6 +169,28 @@ class TestPipeline:
         assert "--sweep-bins" in err and bad in err
         assert "absent.txt" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--split", "1.5"), ("--split", "0"),
+                                             ("--split", "nan"), ("--seed", "-1")])
+    def test_bad_eval_reid_flag_fails_before_reading(self, tmp_path, capsys, flag, value):
+        absent = str(tmp_path / "absent.txt")
+        assert run(
+            ["eval-reid", "--features", absent, "--ids-from-mot", absent,
+             "--mode", "full", flag, value, "--out", str(tmp_path / "out.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must") and value in err
+        assert "absent.txt" not in err
+
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan"])
+    def test_bad_iou_fails_before_reading(self, tmp_path, capsys, value):
+        absent = str(tmp_path / "absent.txt")
+        assert run(
+            ["eval-mot", "--gt", absent, "--pred", absent, "--iou", value,
+             "--out", str(tmp_path / "out.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --iou must") and "absent.txt" not in err
+
     @pytest.mark.parametrize(
         "config, flags, missing",
         [("mode=pos_app\ngallery=full\n", [], "--features"),

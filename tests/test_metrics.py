@@ -18,6 +18,7 @@ from orientrack.metrics import (
     rank1,
     split_gallery_query,
 )
+from orientrack.pose_orientation import fallback_bin, orientation_bin
 
 
 def rec(frame, id, left, top=0.0, w=10.0, h=10.0):
@@ -272,6 +273,23 @@ class TestLabelFeatures:
         # A negative index must not count back from the frame's last MOT row.
         with pytest.raises(ValueError, match="no MOT row for frame 1, det_index -1"):
             label_features(self.table([(1, -1)]), [rec(1, 4, 0.0), rec(1, 9, 50.0)])
+
+
+class TestBuildGalleryBinsLikeTracking:
+    """``orient`` files each item under ``orientation_bin``'s bin, NaN and
+    None under ``fallback_bin``, as the tracker's ``orientation_bins`` does."""
+
+    VALUES = [float("-inf"), -2.0, -1.0, -0.3, 0.0, 0.4, 1.0, 3.0, float("inf"),
+              float("nan"), None]
+
+    @pytest.mark.parametrize("bins", range(1, 10))
+    def test_each_item_goes_under_its_orientation_bin(self, bins):
+        items = [LabeledFeature(k, np.full(2, float(k)), s2t) for k, s2t in enumerate(self.VALUES)]
+        gallery = build_gallery(items, "orient", bins=bins)
+        assert gallery._row_of == {
+            (k, fallback_bin(bins) if s2t is None or s2t != s2t else orientation_bin(s2t, bins)): k
+            for k, s2t in enumerate(self.VALUES)
+        }
 
 
 class TestIdSwitchesThreshold:

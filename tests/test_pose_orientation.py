@@ -14,6 +14,7 @@ from orientrack.pose_orientation import (
     orientation_bins,
     orientation_from_keypoints,
     s2t_ratio,
+    s2t_ratios,
 )
 
 coordinate = st.floats(-1000, 1000, allow_nan=False)
@@ -372,6 +373,32 @@ class TestS2tOracle:
             assert np.float64(scalar.s2t).tobytes() == np.float64(expected).tobytes()
             assert scalar.valid and got_ok
             assert got_bin == scalar.bin == orientation_bin(expected, bins, smax)
+
+
+class TestS2tRatiosOracle:
+    """The block S2T form against ``s2t_oracle``: bit for bit where the
+    orientation is valid, NaN exactly where ``orientation_from_keypoints``
+    finds it unavailable."""
+
+    @given(block=st.one_of(keypoint_blocks(), torso_blocks()))
+    @settings(max_examples=300, deadline=None)
+    def test_block_s2t_equals_the_oracle_bit_for_bit(self, block):
+        got = s2t_ratios(block)
+        assert got.shape == (len(block),) and got.dtype == np.float64
+        for k, ratio in zip(block, got.tolist()):
+            expected = s2t_oracle(TorsoPoints(*(tuple(k[i].tolist()) for i in (2, 5, 8, 11))))
+            valid = orientation_from_keypoints(k, bins=1).valid
+            if expected is None:
+                assert math.isnan(ratio) and not valid
+            else:
+                assert np.float64(ratio).tobytes() == np.float64(expected).tobytes() and valid
+
+
+class TestNanTakesTheFallbackBin:
+    @pytest.mark.parametrize("bins", range(1, 10))
+    @pytest.mark.parametrize("smax", [0.1, 1.0, 2.5])
+    def test_nan_s2t_maps_to_the_fallback_bin(self, bins, smax):
+        assert orientation_bin(float("nan"), bins, smax) == fallback_bin(bins)
 
 
 def keypoints_with(rs, ls, rh, lh):
