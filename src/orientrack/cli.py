@@ -47,12 +47,6 @@ def _parse_sweep_bins(raw: str) -> list[int]:
     return [_bin_count(entry, f"--sweep-bins {raw!r}") for entry in raw.split(",")]
 
 
-def _check_open_unit(value: float, flag: str) -> None:
-    """Reject a flag value outside (0, 1), NaN included."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{flag} must lie strictly between 0 and 1, got {value}")
-
-
 def _cmd_track(args: argparse.Namespace) -> int:
     config = tracker.config_from_text(_read(args.config))
     if config.mode != association.POS_ONLY:
@@ -75,7 +69,7 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
     if strategy == "orient" and args.keypoints is None:
         raise ValueError("orient mode requires --keypoints")
     sweep = None if args.sweep_bins is None else _parse_sweep_bins(args.sweep_bins)
-    _check_open_unit(args.split, "--split")
+    metrics.check_open_unit(args.split, "--split")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     bin_counts = sweep if sweep and strategy in ("random", "orient") else [bins]
@@ -98,7 +92,7 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_mot(args: argparse.Namespace) -> int:
-    _check_open_unit(args.iou, "--iou")
+    metrics.check_open_unit(args.iou, "--iou")
     scores = metrics.idf1(
         parse_mot(_read(args.gt)), parse_mot(_read(args.pred)), args.iou
     )

@@ -33,13 +33,12 @@ otherwise every row is measured, so distances that overflow to ``inf`` tie.
 The half squared norms and M are recomputed on the first ``nearest_person``
 after a row was appended, discarded or had its running mean updated.
 
-Distances are summed as ``np.linalg.norm`` sums them, byte for byte, but with
-whole-array adds instead of one reduction per row pair.  ``_pairwise_sum``
-writes out numpy's ``pairwise_sum`` order over a contiguous axis of length d:
-a running sum below 8; up to 128, eight interleaved partial sums combined as
-a tree, then the tail in order; above 128, the same on two halves split at a
-multiple of 8.  Verified against ``np.add.reduce`` on numpy 2.4.6; the tests
-check it again on the numpy that runs them.
+Distances are summed as ``np.linalg.norm`` sums them, byte for byte: by
+``np.add.reduce`` over the last axis, save at 8 dimensions.  There one
+reduction per row pair costs more than the sum itself, so ``_pairwise_sum``
+writes out numpy's ``pairwise_sum`` tree for 8 values as three whole-array
+adds.  Verified against ``np.add.reduce`` on numpy 2.4.6; the tests check it
+again on the numpy that runs them.
 """
 
 from __future__ import annotations
@@ -58,38 +57,22 @@ _SCREEN_REACH = 2.0 ** 510
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of length d, in numpy's ``pairwise_sum`` order.
+    """Sum over the last axis, as ``np.add.reduce(x, axis=-1)`` sums it, byte for byte.
 
-    Below 8 values that is a running sum, left to ``np.add.reduce``.  Up to
-    128 it is eight partial sums ``r_j = x_j + x_(j+8) + ...`` over the whole
-    8-wide blocks, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then
-    the tail added in order.  Above 128 the axis splits at the largest
-    multiple of 8 not above d/2, and each part is summed the same way.  Each
-    step is one add over every leading index at once.
-
-    Equals ``np.add.reduce(x, axis=-1)`` byte for byte, save that a sum of
-    -0.0 terms stays -0.0 here where numpy's +0.0 start makes it +0.0; a
-    square is never -0.0.
+    An axis of 8 values is summed in numpy's ``pairwise_sum`` order,
+    ``((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7))``: three halvings, each one add
+    over every leading index at once.  Any other width is that reduction.
+    The tree keeps a sum of -0.0 terms -0.0, where numpy's +0.0 start makes
+    it +0.0; a square is never -0.0.
     """
-    d = x.shape[-1]
-    if d < 8:
+    if x.shape[-1] != 8:
         return np.add.reduce(x, axis=-1)
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
-    whole = d - d % 8
-    r = x[..., :8]
-    for start in range(8, whole, 8):
-        r = r + x[..., start:start + 8]
-    # Flat (a copy unless r is contiguous), the three halvings pair neighbours
-    # within each row's eight partials.
-    r = r.reshape(-1)
+    # Flat (a copy unless x is contiguous), each halving pairs neighbours
+    # within each row's eight values.
+    r = x.reshape(-1)
     r = r[0::2] + r[1::2]
     r = r[0::2] + r[1::2]
-    total = (r[0::2] + r[1::2]).reshape(x.shape[:-1])
-    for i in range(whole, d):
-        total += x[..., i]
-    return total
+    return (r[0::2] + r[1::2]).reshape(x.shape[:-1])
 
 
 def _whole_numbers(values, name: str) -> np.ndarray:
@@ -111,9 +94,8 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean norm of ``a - b`` over the last axis, as ``np.linalg.norm`` sums it.
 
     ``a - b`` is a new contiguous array, squared in place; ``_pairwise_sum``
-    adds its last axis in numpy's pairwise order, as ``np.add.reduce`` does
-    (verified on numpy 2.4.6): a running sum below 8 dimensions, eight
-    interleaved partial sums and a tree up to 128, split halves above.
+    adds its last axis as ``np.add.reduce`` does, with whole-array adds at 8
+    dimensions.
     """
     diff = a - b
     np.multiply(diff, diff, out=diff)
@@ -130,6 +112,7 @@ class Gallery:
     def __init__(self, strategy: str, bins: int = 1, seed: int = 0):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+        bins = int(_whole_numbers(bins, "bin count"))
         if bins < 1:
             raise ValueError(f"bin count must be >= 1, got {bins}")
         self.strategy = strategy

@@ -94,6 +94,12 @@ def iou(box_a: tuple[float, float, float, float],
     return float(_iou(_corners(box_a), _corners(box_b)))
 
 
+def check_open_unit(value: float, name: str) -> None:
+    """Reject a value outside (0, 1), NaN included; the error names ``name``."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+
+
 def split_gallery_query(
     items: list[LabeledFeature], gallery_fraction: float = 0.8, seed: int = 0
 ) -> tuple[list[LabeledFeature], list[LabeledFeature]]:
@@ -102,8 +108,7 @@ def split_gallery_query(
     Persons with at least two items keep at least one item on each side;
     single-item persons go to the gallery only.
     """
-    if not 0.0 < gallery_fraction < 1.0:
-        raise ValueError(f"gallery fraction must be in (0, 1), got {gallery_fraction}")
+    check_open_unit(gallery_fraction, "gallery fraction")
     rng = np.random.default_rng(seed)
     by_person: dict[int, list[LabeledFeature]] = {}
     for item in items:
@@ -176,8 +181,7 @@ def _walk(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: flo
     above the threshold are the frame's IDF1 matches; its persistence pass and
     assignment are the switch counter's.  Returns IDTP and the switch count.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"IoU threshold must be in (0, 1), got {threshold}")
+    check_open_unit(threshold, "IoU threshold")
     (g_frame, g_id, g_box, g_first), (p_frame, p_id, p_box, _) = _rows(gt), _rows(pred)
     frames = np.unique(g_frame)
     bounds = [np.searchsorted(f, frames, side=side).tolist()

@@ -108,10 +108,12 @@ def s2t_ratios(keypoints: np.ndarray) -> np.ndarray:
 
 
 def _check_bin_parameters(bins: int, smax: float) -> None:
-    if bins < 1:
-        raise ValueError(f"bin count must be >= 1, got {bins}")
-    if smax <= 0:
-        raise ValueError(f"smax must be positive, got {smax}")
+    """Reject a bin count that is not a whole number >= 1, and an smax that
+    is not positive and finite (NaN fails every comparison)."""
+    if not (bins >= 1 and bins % 1 == 0):
+        raise ValueError(f"bin count must be an integer >= 1, got {bins}")
+    if not 0.0 < smax < math.inf:
+        raise ValueError(f"smax must be positive and finite, got {smax}")
 
 
 def _bin_index(s2t: float, bins: int, smax: float) -> int:

@@ -49,6 +49,8 @@ class SynthConfig:
             raise ValueError("persons and frames must be >= 1")
         if self.dim < 2:
             raise ValueError(f"feature dimension must be >= 2, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("kappa", "sigma", "sigma_det"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

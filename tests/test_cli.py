@@ -61,7 +61,7 @@ class TestUsageErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "line", ["width=nan", "height=inf", "kappa=nan", "sigma=nan", "sigma_det=inf"]
+        "line", ["width=nan", "height=inf", "kappa=nan", "sigma=nan", "sigma_det=inf", "seed=-1"]
     )
     def test_bad_synth_value_returns_1(self, tmp_path, capsys, line):
         config = tmp_path / "synth.cfg"

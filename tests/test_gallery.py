@@ -93,6 +93,14 @@ class TestNearestPerson:
             Gallery("full").nearest_person(np.array([0.0]))
 
 
+class TestBinCount:
+    @pytest.mark.parametrize("strategy", ["random", "orient"])
+    @pytest.mark.parametrize("bins", [2.5, float("nan"), float("inf")])
+    def test_rejects_a_bin_count_that_is_not_an_integer(self, strategy, bins):
+        with pytest.raises(ValueError, match="bin count"):
+            Gallery(strategy, bins=bins)
+
+
 class TestProperties:
     @given(
         st.lists(

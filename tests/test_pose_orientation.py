@@ -243,6 +243,17 @@ class TestOrientationBin:
         with pytest.raises(ValueError):
             orientation_bin(0.0, bins=2, smax=0.0)
 
+    @pytest.mark.parametrize("bins, smax, name", [
+        (2.5, 1.0, "bin count"), (math.nan, 1.0, "bin count"), (math.inf, 1.0, "bin count"),
+        (2, math.nan, "smax"), (2, math.inf, "smax"),
+    ])
+    def test_rejects_parameters_that_yield_no_valid_bin(self, bins, smax, name):
+        # Each error names its parameter, in the scalar and the block form alike.
+        with pytest.raises(ValueError, match=name):
+            orientation_bin(0.3, bins, smax)
+        with pytest.raises(ValueError, match=name):
+            orientation_bins(np.zeros((1, 18, 3)), bins, smax)
+
 
 class TestOrientationFromKeypoints:
     def test_valid_keypoints(self):
