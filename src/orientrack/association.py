@@ -7,6 +7,20 @@ assignments from them afresh each frame, so no association hypothesis
 survives a frame and only particle weights carry over (ROADMAP.md's open item
 "A real Rao-Blackwellized particle filter").
 
+The likelihoods are computed gate first, so a frame's distance work grows
+with the pairs the chi-square gate can let through rather than with
+detections x tracks.  ``position_likelihood`` measures squared Mahalanobis
+distance only on the pairs an exact pre-gate keeps: with innovation y and
+S = H P H^T + r I, d^2 >= y_i^2 / S_ii for each coordinate i, so a pair with
+y_i^2 > 2 CHI2_GATE S_ii is surely gated out; the factor 2 is the rounding
+margin, proven in ``filtering.gated_squared_mahalanobis``, so no pair the
+dense computation keeps is left out.  Under ``pos_app``,
+``appearance_likelihood`` then reads the gallery only on the position
+factor's support (``Gallery.pair_distances``) and normalizes each row over
+that support and NEW_TRACK, so ``combine`` equals one normalization of the
+dense product up to rounding.  ``app_only`` has no gate: it reads every pair
+through the same pair read, with the bytes of the dense read.
+
 The sampler draws a frame's rows by dependency level rather than one row at
 a time.  A row's support is its set of real-track columns with mass; two rows
 depend on each other when their supports meet, and a row's level is one more
@@ -27,9 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .filtering import MEAS_DIM, STATE_DIM, TrackState, gated_squared_mahalanobis
 # ``mahalanobis`` is the one-pair form, kept importable from here for callers
 # (and perfbench's tracer) that look it up on this module.
-from .filtering import TrackState, mahalanobis, squared_mahalanobis  # noqa: F401
+from .filtering import mahalanobis  # noqa: F401
 from .gallery import Gallery
 
 # 95% quantile of chi-square with 4 degrees of freedom, applied to squared
@@ -66,16 +81,16 @@ def position_likelihood(
 ) -> np.ndarray:
     """Softmin of Mahalanobis distances, gated, with a constant NEW_TRACK floor.
 
-    ``tracks`` is the stacked state of the live tracks.  All detections x
-    tracks squared distances come from one batched solve
-    (``filtering.squared_mahalanobis``); a pair whose squared distance exceeds
-    ``CHI2_GATE`` gets 0, any other pair ``exp(-d)``, and the NEW_TRACK column
-    ``exp(-d0)``.  Returns an (n_detections, n_tracks + 1) row-stochastic
-    matrix.
+    ``tracks`` is the stacked state of the live tracks.  Squared distances
+    are computed only for the pairs that ``filtering.gated_squared_mahalanobis``'s
+    exact pre-gate keeps, by one stacked solve; a pair whose squared distance
+    exceeds ``CHI2_GATE`` gets 0, as does every pair the pre-gate leaves out,
+    any other pair ``exp(-d)``, and the NEW_TRACK column ``exp(-d0)``.
+    Returns an (n_detections, n_tracks + 1) row-stochastic matrix.
     """
-    squared = squared_mahalanobis(tracks, measurements, r)
-    matrix = np.empty((squared.shape[0], squared.shape[1] + 1))
-    matrix[:, :-1] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
+    matrix = np.zeros((np.size(measurements) // MEAS_DIM, tracks.mean.size // STATE_DIM + 1))
+    dets, cols, squared = gated_squared_mahalanobis(tracks, measurements, CHI2_GATE, r)
+    matrix[dets, cols] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
     matrix[:, -1] = np.exp(-d0)
     return _normalize_rows(matrix)
 
@@ -85,17 +100,27 @@ def appearance_likelihood(
     features: Sequence[np.ndarray],
     track_ids: Sequence[int],
     d0_app: float = DEFAULT_D0_APP,
+    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Softmin of nearest-gallery-feature distances per (detection, track) pair.
 
     Tracks without any stored appearance get the same constant floor as the
     NEW_TRACK column, making them indistinguishable from a new identity on
-    appearance alone.
+    appearance alone.  ``support`` is an optional (n_detections, n_tracks)
+    array whose nonzero entries are the pairs to read, such as the position
+    factor's real columns; without it every pair is read, as ``app_only``
+    mode, which has no gate, does.  Only those pairs are read
+    (``Gallery.pair_distances``), every other real entry is 0, and each row
+    is normalised over its support and NEW_TRACK.
     """
     floor = np.exp(-d0_app)
-    matrix = np.full((len(features), len(track_ids) + 1), floor)
-    distances = gallery.distances(features, track_ids)
-    matrix[:, :-1] = np.where(np.isfinite(distances), np.exp(-distances), floor)
+    if support is None:
+        support = np.ones((len(features), len(track_ids)), dtype=bool)
+    matrix = np.zeros((support.shape[0], support.shape[1] + 1))
+    dets, cols = support.nonzero()
+    distances = gallery.pair_distances(features, dets, np.asarray(track_ids).take(cols))
+    matrix[dets, cols] = np.where(np.isfinite(distances), np.exp(-distances), floor)
+    matrix[:, -1] = floor
     return _normalize_rows(matrix)
 
 

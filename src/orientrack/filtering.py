@@ -38,6 +38,8 @@ INITIAL_COV_DIAG = np.array([10.0, 10.0, 10.0, 10.0, 100.0, 100.0])
 _PROCESS_COV = np.diag(PROCESS_WEIGHTS)
 _MEAS_EYE = np.eye(MEAS_DIM)
 _STATE_EYE = np.eye(STATE_DIM)
+# ``gated_squared_mahalanobis``'s pre-gate is proven while every S_ii <= this times r.
+_PREGATE_VARIANCE = 2.0 ** 28
 
 
 @dataclass
@@ -116,6 +118,60 @@ def squared_mahalanobis(
     innovations = z[None, :, :] - means[:, None, :]  # (T, N, 4)
     solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))  # (T, 4, N)
     return np.einsum("tnk,tkn->nt", innovations, solved)
+
+
+def gated_squared_mahalanobis(
+    states: TrackState, measurements: np.ndarray, gate: float, r: float = 10.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared distances of the (measurement, state) pairs that can lie within ``gate``.
+
+    Returns ``(dets, tracks, squared)``: the pairs the pre-gate keeps, in
+    row-major (measurement, state) order, and their squared distances from
+    one stacked solve with an explicit (K, 4, 1) right-hand side.  A pair left
+    out has a ``squared_mahalanobis`` entry above ``gate``; a kept pair's
+    distance may still lie above it, and may differ from the dense entry in
+    its last bits.
+
+    Pre-gate: a pair is left out when y_i^2 > 2 gate S_ii for a coordinate i
+    of its innovation y, with S = H P H^T + r I, while every S_ii <= 2^28 r;
+    a state with a larger variance keeps every pair.  A NaN in y or in a
+    variance S_ii keeps its pair, so its NaN distance reaches the caller as
+    in the dense form; a NaN only off S's diagonal is not looked at.
+    Proof that no pair the dense computation keeps is left out: P is
+    symmetric PSD, so S's eigenvalues lie in [r, tr(S)], tr(S) <= 4 max S_ii
+    <= 2^30 r, and exactly y_i^2 <= S_ii y^T S^-1 y (Cauchy-Schwarz in the
+    S^-1 inner product).  The dense solve is LU with partial pivoting, so its
+    x solves (S + E) x = y with |E| <= c u |S| <= c u tr(S), where c < 10^4
+    for 4 x 4 systems (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, thm. 9.4 and lemma 9.6, growth factor <= 8) and u = 2^-53;
+    that is |E| <= e r with e < 0.002.  As x^T S x >= r |x|^2,
+    y^T x = x^T S x + x^T E x >= (1 - e) x^T S x, and as S_ii >= r,
+    |y_i| <= |e_i^T S x| + |E x| <= (1 + e) sqrt(S_ii x^T S x).  Summing the
+    four products y_j x_j moves y^T x by at most
+    4u |y| |x| <= 4u (1 + e) tr(S) |x|^2 < 10^-6 x^T S x.  So a computed
+    distance d^2 has y_i^2 <= (1 + e)^2 / (1 - e - 10^-6) S_ii d^2
+    < 1.01 S_ii d^2, for the same y and S, and squaring y_i and scaling S_ii
+    round by a relative u each: a pair whose computed distance is within
+    ``gate`` has a computed y_i^2 within 1.02 gate S_ii; the factor 2 is the
+    margin.
+    """
+    z = np.asarray(measurements, dtype=float).reshape(-1, MEAS_DIM)
+    S = _innovation_cov(states.cov.reshape(-1, STATE_DIM, STATE_DIM), r)
+    # (4, N, T), coordinate-major and C-ordered: the subtraction's inner loop
+    # runs over the T tracks rather than over 4 coordinates.
+    innovations = np.subtract(
+        z.T[:, :, None], states.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM].T[:, None, :], order="C")
+    variances = S.diagonal(axis1=1, axis2=2).T
+    reach = variances * (2.0 * gate)
+    if not np.maximum.reduce(variances, axis=None, initial=0.0) <= _PREGATE_VARIANCE * r:
+        reach[:, ~(np.maximum.reduce(variances, axis=0) <= _PREGATE_VARIANCE * r)] = np.inf
+    # Keep what is not far, rather than what is near: a NaN then keeps its pair.
+    far = np.logical_or.reduce(innovations * innovations > reach[:, None, :], axis=0)
+    dets, tracks = (~far).nonzero()
+    kept = innovations[:, dets, tracks].T
+    # take: a gather, cheaper per call than fancy indexing.
+    solved = np.linalg.solve(S.take(tracks, axis=0), kept[:, :, None])
+    return dets, tracks, (kept[:, None, :] @ solved)[:, 0, 0]
 
 
 def mahalanobis(state: TrackState, z: np.ndarray, r: float = 10.0) -> float:

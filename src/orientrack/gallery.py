@@ -10,11 +10,17 @@ All four share one store: a ``(rows, d)`` vector matrix with an owner id and
 an insert count per row, so binned memory is proportional to persons x bins.
 The store holds exactly its rows, with no spare capacity: a block insert
 appends its new rows in one copy, and ``discard`` keeps the other rows.
-``distances`` reads every stored row, by owner segments, into one
-detections x persons nearest-row matrix.  The segments (the rows in stable
-owner order, each owner once and the head row of its segment) are recomputed
-on the first read after rows were appended or discarded; updating a running
-mean moves no row, so reads between appends reuse them.
+``pair_distances`` is the one distance read: for given (detection, person)
+pairs, each pair gathers its person's row of a table of row indices, padded
+to the longest person's row count by repeating that person's last row, so a
+pair costs at most that many row distances.  The tracker's ``pos_app`` mode
+reads it on the pairs inside the position gate, and ``app_only`` mode, which
+has no gate, on every pair.  ``distances`` is that read over every
+(feature, person) pair, shaped as a detections x persons matrix, and
+``min_distance`` over one pair.  The table (each owner once in ascending
+order, and its rows in store order) is recomputed on the first read after
+rows were appended or discarded; updating a running mean moves no row, so
+reads between appends reuse it.
 
 ``nearest_person`` screens every row, then measures only the rows that can
 win.  One matrix-vector product gives each row ``approx = |v|^2/2 - v.q``:
@@ -124,8 +130,9 @@ class Gallery:
         self._counts = np.empty(0, dtype=np.int64)
         # Binned strategies: (person, bin) -> row of its running mean.
         self._row_of: dict[tuple[int, int], int] = {}
-        # (order, owners, heads) of the current rows; None after an append or discard.
-        self._segments: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (owners, padded row table) of the current rows; None after an
+        # append or discard.
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
         # (half squared norm per row, largest row norm); None after any row changes.
         self._norms: tuple[np.ndarray, float] | None = None
 
@@ -222,7 +229,7 @@ class Gallery:
     def _append(self, persons: np.ndarray, feats: np.ndarray) -> int:
         """Append a row per person, each at insert count 1; returns the first new row."""
         start = len(self._owners)
-        self._segments = self._norms = None
+        self._table = self._norms = None
         # Before the first insert the vectors are (0, 0); reshape gives them d columns.
         self._vectors = np.concatenate([self._vectors.reshape(start, feats.shape[1]), feats])
         self._owners = np.concatenate([self._owners, persons])
@@ -236,33 +243,54 @@ class Gallery:
             return
         self._vectors, self._owners, self._counts = (
             self._vectors[kept], self._owners[kept], self._counts[kept])
-        self._segments = self._norms = None
+        self._table = self._norms = None
         moved = dict(zip(kept.tolist(), range(len(kept))))
         self._row_of = {key: moved[row] for key, row in self._row_of.items() if row in moved}
 
-    def _owner_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows in stable owner order, each owner once in ascending order,
-        and each owner's first position in that order; kept until rows move."""
-        if self._segments is None:
+    def _owner_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each owner once, in ascending order, and a table with one row per
+        owner: its rows' indices in store order, padded to the longest
+        owner's count by repeating its last row (a repeat cannot change a
+        minimum); kept until rows move."""
+        if self._table is None:
             order = np.argsort(self._owners, kind="stable")
             ranked = self._owners[order]
             heads = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-            self._segments = order, ranked[heads], heads
-        return self._segments
+            ends = np.append(heads[1:], len(order)) - 1
+            slots = np.arange((ends - heads).max() + 1)
+            table = order[np.minimum(heads[:, None] + slots, ends[:, None])]
+            self._table = ranked[heads], table
+        return self._table
 
     def distances(self, features: Sequence[np.ndarray], persons: Sequence[int]) -> np.ndarray:
         """Euclidean distance from each feature to each person's nearest stored row.
 
         Returns a (len(features), len(persons)) matrix, ``inf`` for a person
-        without rows; one ``np.minimum.reduceat`` over every owner's segment takes the minima.
+        without rows: ``pair_distances`` over every (feature, person) pair.
+        """
+        persons = np.asarray(persons)
+        dets, cols = np.indices((len(features), len(persons))).reshape(2, -1)
+        nearest = self.pair_distances(features, dets, persons.take(cols))
+        return nearest.reshape(len(features), len(persons))
+
+    def pair_distances(self, features, dets: np.ndarray, persons: np.ndarray) -> np.ndarray:
+        """For each pair k, the distance from ``features[dets[k]]`` to
+        ``persons[k]``'s nearest stored row, ``inf`` for a person without rows.
+
+        Each pair reads only its person's rows, through the padded table.
+        A row's distance is summed alone, as ``np.linalg.norm`` sums it, and
+        a minimum is exact, so a pair's bytes do not depend on the other
+        pairs read with it.
         """
         feats = self._block(features) if len(features) else None
-        if feats is None or not len(self._owners):
-            return np.full((len(features), len(persons)), np.inf)
-        order, owners, heads = self._owner_segments()
-        nearest = np.minimum.reduceat(_distance(self._vectors[order], feats[:, None]), heads, axis=1)
-        segment = np.minimum(np.searchsorted(owners, persons), len(owners) - 1)
-        return np.where(owners[segment] == persons, nearest[:, segment], np.inf)
+        if feats is None or not len(persons) or not len(self._owners):
+            return np.full(len(persons), np.inf)
+        owners, table = self._owner_table()
+        # Method forms and take: cheaper per call than the functions and fancy indexing.
+        segment = np.minimum(owners.searchsorted(persons), len(owners) - 1)
+        rows = self._vectors.take(table.take(segment, axis=0), axis=0)
+        nearest = np.minimum.reduce(_distance(rows, feats.take(dets, axis=0)[:, None]), axis=-1)
+        return np.where(owners.take(segment) == persons, nearest, np.inf)
 
     def min_distance(self, person: int, feat: np.ndarray) -> float:
         """Euclidean distance from feat to the person's nearest stored feature."""

@@ -45,12 +45,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.persons < 1 or self.frames < 1:
-            raise ValueError("persons and frames must be >= 1")
-        if self.dim < 2:
-            raise ValueError(f"feature dimension must be >= 2, got {self.dim}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("persons", 1), ("frames", 1), ("dim", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         for name in ("kappa", "sigma", "sigma_det"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

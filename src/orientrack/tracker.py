@@ -151,8 +151,10 @@ class Tracker:
                 self._state, measurements, cfg.r, cfg.d0_pos
             )
         if cfg.mode != association.POS_ONLY:
+            # Under pos_app, appearance is read only where position has mass.
             app = association.appearance_likelihood(
-                self._gallery, feats, self.tracks, cfg.d0_app
+                self._gallery, feats, self.tracks, cfg.d0_app,
+                None if pos is None else pos[:, :-1],
             )
         matrix = association.combine(pos, app, cfg.mode)
 

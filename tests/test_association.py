@@ -16,12 +16,20 @@ from orientrack.association import (
     rbpf_step,
     systematic_resample,
 )
-from orientrack.filtering import MEAS_MATRIX, TrackState, initial_state
+from orientrack.filtering import (
+    MEAS_MATRIX,
+    TrackState,
+    gated_squared_mahalanobis,
+    initial_state,
+    predict,
+    squared_mahalanobis,
+    update,
+)
 from orientrack.gallery import Gallery
 from orientrack.io_formats import write_tracks
 from orientrack.synth import SynthConfig, generate
 from orientrack.tracker import TrackerConfig, run_sequence
-from test_gallery import reference_distances
+from test_gallery import reference_pair_distances
 
 
 def stacked(states):
@@ -423,27 +431,27 @@ class TestTrackerWithReferenceSampler:
         config = TrackerConfig(mode="pos_app", gallery="orient", bins=5, particles=20,
                                q=2.0, seed=0)
         matrices, owners = [], []
-        batched, segmented = association.rbpf_step, Gallery.distances
+        batched, segmented = association.rbpf_step, Gallery.pair_distances
 
         def recording(ps, matrix, rng):
             matrices.append(matrix)
             return batched(ps, matrix, rng)
 
-        def recording_distances(gallery, features, persons):
+        def recording_distances(gallery, features, dets, persons):
             owners.append(gallery._owners.copy())
-            return segmented(gallery, features, persons)
+            return segmented(gallery, features, dets, persons)
 
         def track():
             return write_tracks(run_sequence(config, data.det_text, data.features_text,
                                              data.keypoints_text))
 
         monkeypatch.setattr(association, "rbpf_step", recording)
-        monkeypatch.setattr(Gallery, "distances", recording_distances)
+        monkeypatch.setattr(Gallery, "pair_distances", recording_distances)
         text = track()
         assert max(len(association._levels(m)) for m in matrices) > 2
         assert max(np.bincount(o).max() for o in owners if len(o)) > 1
         monkeypatch.setattr(association, "rbpf_step", reference_rbpf_step)
-        monkeypatch.setattr(Gallery, "distances", reference_distances)
+        monkeypatch.setattr(Gallery, "pair_distances", reference_pair_distances)
         assert track() == text
 
 
@@ -465,3 +473,172 @@ class TestRbpfDrawContract:
         matrix[1, 0] = bad
         with pytest.raises(ValueError):
             rbpf_step(ParticleSet.initial(4), matrix, np.random.default_rng(0))
+
+
+def coasted_tracks(rng, count, spread, coast):
+    """Tracks born at random boxes, then predicted up to ``coast`` times with
+    no update, so their covariances grow and stretch along the velocity."""
+    start = np.column_stack([rng.uniform(0, spread, (count, 2)), rng.uniform(10, 100, (count, 2))])
+    state = initial_state(start)
+    for _ in range(rng.integers(0, coast + 1)):
+        state = predict(state, float(rng.uniform(0.01, 10.0)))
+    if count and rng.random() < 0.5:
+        state = update(state, start + rng.normal(0, 3, start.shape), float(rng.uniform(0.5, 50)))
+    return state
+
+
+def dense_position_likelihood(tracks, measurements, r, d0):
+    """The dense form: every pair's distance from ``squared_mahalanobis``."""
+    squared = squared_mahalanobis(tracks, measurements, r)
+    matrix = np.empty((squared.shape[0], squared.shape[1] + 1))
+    matrix[:, :-1] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
+    matrix[:, -1] = np.exp(-d0)
+    return association._normalize_rows(matrix)
+
+
+class TestGateFirst:
+    """The exact pre-gate keeps every pair the dense distances keep, and the
+    gate-first matrices equal the dense ones up to rounding."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trk=st.integers(0, 6),
+        n_det=st.integers(0, 6),
+        spread=st.sampled_from([5.0, 50.0, 500.0, 5000.0]),
+        coast=st.sampled_from([0, 5, 60, 400]),
+        # Rank-one-heavy covariances, whose widest axis holds most of the trace.
+        lopsided=st.booleans(),
+        r=st.floats(0.5, 50.0),
+        on_gate=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pre_gate_keeps_every_pair_inside_the_gate(
+        self, seed, n_trk, n_det, spread, coast, lopsided, r, on_gate
+    ):
+        rng = np.random.default_rng(seed)
+        tracks = coasted_tracks(rng, n_trk, spread, coast)
+        if lopsided:
+            axes = rng.normal(size=(n_trk, 6, 1)) * rng.uniform(1, 1e3, (n_trk, 1, 1))
+            tracks = TrackState(tracks.mean, axes @ axes.swapaxes(-1, -2) + 1e-3 * np.eye(6))
+        dets = np.column_stack([rng.uniform(0, spread, (n_det, 2)),
+                                rng.uniform(10, 100, (n_det, 2))])
+        if on_gate and n_trk:
+            # Each detection sits within 1e-9 of the gate of a drawn track,
+            # along a column of the innovation covariance (where the
+            # pre-gate's bound y_i^2 <= S_ii d^2 is an equality), its widest
+            # axis, or a random one.
+            for i in range(n_det):
+                t = rng.integers(n_trk)
+                S = tracks.cov[t, :4, :4] + r * np.eye(4)
+                axis = (S[:, rng.integers(4)], np.linalg.eigh(S)[1][:, -1],
+                        rng.normal(size=4))[rng.integers(3)]
+                unit = squared_mahalanobis(TrackState(tracks.mean[t], tracks.cov[t]),
+                                           tracks.mean[t, :4] + axis, r)[0, 0]
+                scale = np.sqrt(CHI2_GATE / unit) * (1.0 + rng.uniform(-1e-9, 1e-9))
+                dets[i] = tracks.mean[t, :4] + scale * axis
+        dense = squared_mahalanobis(tracks, dets, r)
+        kept_dets, kept_tracks, squared = gated_squared_mahalanobis(tracks, dets, CHI2_GATE, r)
+        kept = np.zeros(dense.shape, dtype=bool)
+        kept[kept_dets, kept_tracks] = True
+        assert not np.any((dense <= CHI2_GATE) & ~kept)
+        # The pair solve and the batched one round apart by up to about
+        # cond(S) ulps, and coasted covariances reach cond(S) ~ 1e9.
+        np.testing.assert_allclose(squared, dense[kept_dets, kept_tracks], rtol=1e-5, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trk=st.integers(0, 7),
+        n_det=st.integers(0, 7),
+        spread=st.sampled_from([50.0, 300.0]),
+        coast=st.sampled_from([0, 3, 30]),
+        r=st.floats(0.5, 50.0),
+        d0=st.floats(0.5, 10.0),
+        d0_app=st.floats(0.5, 5.0),
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrices_equal_the_dense_form(
+        self, seed, n_trk, n_det, spread, coast, r, d0, d0_app, strategy
+    ):
+        rng = np.random.default_rng(seed)
+        tracks = coasted_tracks(rng, n_trk, spread, coast)
+        dets = np.column_stack([rng.uniform(0, spread, (n_det, 2)),
+                                rng.uniform(10, 100, (n_det, 2))])
+        # Away from the gate a last-digit difference cannot flip a pair.
+        assume(not np.any(np.abs(squared_mahalanobis(tracks, dets, r) - CHI2_GATE) < 1e-9))
+        ids = rng.permutation(20)[:n_trk] + 1
+        g = Gallery(strategy, bins=3, seed=seed % 97)
+        stored = [p for p in ids if rng.random() < 0.8]
+        if stored:
+            owners = rng.choice(stored, size=rng.integers(1, 12))
+            g.insert_block(owners, rng.normal(0, 1, (len(owners), 8)),
+                           rng.integers(0, 3, len(owners)))
+        feats = rng.normal(0, 1, (n_det, 8))
+
+        pos, dense_pos = (position_likelihood(tracks, dets, r, d0),
+                          dense_position_likelihood(tracks, dets, r, d0))
+        app = appearance_likelihood(g, feats, ids, d0_app, pos[:, :-1])
+        dense_app = appearance_likelihood(g, feats, ids, d0_app)
+        np.testing.assert_allclose(app.sum(axis=1), 1.0, rtol=1e-12)
+        assert np.all(app[:, :-1][pos[:, :-1] == 0.0] == 0.0)
+        for mode, got, expected in (
+            ("pos_only", combine(pos, None, "pos_only"), combine(dense_pos, None, "pos_only")),
+            ("pos_app", combine(pos, app, "pos_app"), combine(dense_pos, dense_app, "pos_app")),
+        ):
+            assert got.shape == expected.shape == (n_det, n_trk + 1), mode
+            np.testing.assert_array_equal(got == 0.0, expected == 0.0, err_msg=mode)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=mode)
+
+    def test_a_state_beyond_the_proven_variance_keeps_every_pair(self):
+        # Covariances of 1e16-1e19 along one axis, against r of at most 50:
+        # far beyond the 2^28 r that the pre-gate's rounding proof covers.
+        # Each detection lies past the per-coordinate bound, so only the
+        # variance check keeps it; at this condition number the dense solve
+        # is rounding noise and puts some of these pairs inside the gate.
+        rng = np.random.default_rng(7)
+        inside = 0
+        for _ in range(400):
+            r = rng.uniform(0.5, 50.0)
+            axis = rng.normal(size=6)
+            axis /= np.linalg.norm(axis[:4])
+            cov = 10.0 ** rng.uniform(16, 19) * np.outer(axis, axis) + 1e-3 * np.eye(6)
+            S = cov[:4, :4] + r * np.eye(4)
+            y = (axis[:4] * np.sqrt(2.0 * CHI2_GATE * np.trace(S))
+                 + rng.normal(size=4) * rng.uniform(0, 10) * np.sqrt(r))
+            if not np.any(y * y > 2.0 * CHI2_GATE * np.diag(S)):
+                continue
+            state = TrackState(np.zeros(6), cov)
+            with np.errstate(invalid="ignore"):
+                try:
+                    dense = squared_mahalanobis(state, y, r)[0, 0]
+                except np.linalg.LinAlgError:
+                    continue
+                dets, tracks, _ = gated_squared_mahalanobis(state, y, CHI2_GATE, r)
+                got, expected = (position_likelihood(state, y, r, 5.0),
+                                 dense_position_likelihood(state, y, r, 5.0))
+            inside += not dense > CHI2_GATE
+            assert dets.tolist() == tracks.tolist() == [0]
+            # The pair solve and the batched one differ here in about the
+            # ninth digit; NaN where the noise made d^2 negative.
+            np.testing.assert_array_equal(got == 0.0, expected == 0.0)
+            np.testing.assert_allclose(got, expected, rtol=1e-6, atol=0.0, equal_nan=True)
+        assert inside
+
+    def test_nan_reaches_the_sampler_as_in_the_dense_form(self):
+        tracks = predict(initial_state(np.array(
+            [[10.0, 10, 20, 40], [50, 50, 20, 40], [90, 10, 20, 40]])), 1.0)
+        dets = np.array([[11.0, 10, 20, 40], [52, 50, 20, 40], [500, 500, 20, 40]])
+        nan_det = dets.copy()
+        nan_det[1, 0] = np.nan
+        nan_cov = tracks.cov.copy()
+        nan_cov[1, 0, :] = nan_cov[1, :, 0] = np.nan
+        for state, z in ((tracks, nan_det), (TrackState(tracks.mean, nan_cov), dets)):
+            with np.errstate(invalid="ignore"):
+                got = position_likelihood(state, z, 10.0, 5.0)
+                expected = dense_position_likelihood(state, z, 10.0, 5.0)
+            assert np.isnan(expected).any()
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+            np.testing.assert_array_equal(got, expected)
+            for matrix in (got, expected):
+                with pytest.raises(ValueError, match="finite sums"):
+                    rbpf_step(ParticleSet.initial(4), matrix, np.random.default_rng(0))

@@ -71,6 +71,16 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"error: {line.split('=')[0]} must be")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line, least", [("persons=0", 1), ("frames=0", 1), ("dim=1", 2)])
+    def test_out_of_range_synth_count_names_its_key(self, tmp_path, capsys, line, least):
+        config = tmp_path / "synth.cfg"
+        config.write_text(f"{line}\n")
+        out_dir = tmp_path / "data"
+        assert run(["synth", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        key, value = line.split("=")
+        assert capsys.readouterr().err == f"error: {key} must be >= {least}, got {value}\n"
+        assert not out_dir.exists()
+
 
 class TestPipeline:
     def test_single_person_noiseless_tracking_is_perfect(self, tmp_path):

@@ -219,6 +219,13 @@ def reference_distances(gallery, features, persons):
     return out
 
 
+def reference_pair_distances(gallery, features, dets, persons):
+    """``reference_distances``' entry ``[dets[k], k]`` for each pair k: one
+    ``np.linalg.norm`` over the person's stored rows, then their minimum."""
+    return np.array([reference_distances(gallery, [features[i]], [person])[0, 0]
+                     for i, person in zip(dets, persons)])
+
+
 def reference_appearance_likelihood(gallery, features, track_ids, d0_app):
     """Per-pair loop over min_distance with a KeyError floor, then per-row normalisation."""
     floor = np.exp(-d0_app)
@@ -762,3 +769,48 @@ class TestScreenMatchesScan:
 
         monkeypatch.setattr(gallery_module, "_distance", block_kernel)
         assert [g.nearest_person(q) for q in queries] == expected
+
+
+class TestPairDistancesMatchDistances:
+    """The pair read gives, for each (detection, person) pair, the bytes of
+    that pair's ``distances`` entry, for every strategy."""
+
+    @given(
+        data=st.data(),
+        strategy=st.sampled_from(["full", "averaged", "random", "orient"]),
+        bins=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        # numpy sums 8 values in its pairwise order, which the width-8 kernel copies.
+        dim=st.sampled_from([2, 3, 8, 9, 16, 33]),
+        # Uneven row counts: persons repeat, and 0 and 1 are often the same.
+        owners=st.lists(st.integers(0, 5) | st.just(0), max_size=14),
+        n_queries=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_pair_equals_its_distances_entry(
+        self, data, strategy, bins, seed, dim, owners, n_queries
+    ):
+        g = Gallery(strategy, bins=bins, seed=seed)
+        if owners:
+            vectors = data.draw(arrays(np.float64, (len(owners), dim), elements=wide_floats))
+            g.insert_block(owners, vectors,
+                           data.draw(st.lists(st.integers(0, bins - 1), min_size=len(owners),
+                                              max_size=len(owners))))
+        queries = data.draw(arrays(np.float64, (n_queries, dim), elements=wide_floats))
+        # Persons 6 and 7 are never stored; pairs may repeat.
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n_queries - 1), st.integers(0, 7)),
+                                   max_size=12))
+        dets = np.array([i for i, _ in pairs], dtype=np.int64)
+        persons = np.array([p for _, p in pairs], dtype=np.int64)
+        got = g.pair_distances(queries, dets, persons)
+        expected = g.distances(queries, list(range(8)))[dets, persons]
+        assert got.shape == (len(pairs),)
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == reference_pair_distances(g, queries, dets, persons).tobytes()
+        assert np.isinf(got[~np.isin(persons, g._owners)]).all()
+
+    def test_rejects_a_non_finite_feature(self):
+        g = Gallery("full")
+        g.insert(1, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            g.pair_distances(np.array([[np.nan, 0.0]]), np.array([0]), np.array([1]))

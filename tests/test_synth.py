@@ -148,6 +148,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(sigma=-0.1)
 
+    @pytest.mark.parametrize("name, value, least", [
+        ("persons", 0, 1), ("persons", -3, 1), ("frames", 0, 1), ("dim", 1, 2), ("dim", 0, 2),
+        ("seed", -1, 0),
+    ])
+    def test_out_of_range_count_names_its_key(self, name, value, least):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
+            SynthConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["kappa", "sigma", "sigma_det"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_rejects_bad_noise(self, name, value):
