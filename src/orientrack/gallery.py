@@ -39,12 +39,8 @@ otherwise every row is measured, so distances that overflow to ``inf`` tie.
 The half squared norms and M are recomputed on the first ``nearest_person``
 after a row was appended, discarded or had its running mean updated.
 
-Distances are summed as ``np.linalg.norm`` sums them, byte for byte: by
-``np.add.reduce`` over the last axis, save at 8 dimensions.  There one
-reduction per row pair costs more than the sum itself, so ``_pairwise_sum``
-writes out numpy's ``pairwise_sum`` tree for 8 values as three whole-array
-adds.  Verified against ``np.add.reduce`` on numpy 2.4.6; the tests check it
-again on the numpy that runs them.
+Distances are summed as ``np.linalg.norm`` sums them, byte for byte: one
+``np.add.reduce`` over the last axis, at every width.
 """
 
 from __future__ import annotations
@@ -60,25 +56,6 @@ _SMALLEST_SUBNORMAL = 2.0 ** -1074
 # The screen runs only while (M + |q|)^2 stays below 2^1020: no product,
 # square or distance can then overflow.
 _SCREEN_REACH = 2.0 ** 510
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, as ``np.add.reduce(x, axis=-1)`` sums it, byte for byte.
-
-    An axis of 8 values is summed in numpy's ``pairwise_sum`` order,
-    ``((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7))``: three halvings, each one add
-    over every leading index at once.  Any other width is that reduction.
-    The tree keeps a sum of -0.0 terms -0.0, where numpy's +0.0 start makes
-    it +0.0; a square is never -0.0.
-    """
-    if x.shape[-1] != 8:
-        return np.add.reduce(x, axis=-1)
-    # Flat (a copy unless x is contiguous), each halving pairs neighbours
-    # within each row's eight values.
-    r = x.reshape(-1)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    return (r[0::2] + r[1::2]).reshape(x.shape[:-1])
 
 
 def _whole_numbers(values, name: str) -> np.ndarray:
@@ -99,13 +76,12 @@ def _whole_numbers(values, name: str) -> np.ndarray:
 def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean norm of ``a - b`` over the last axis, as ``np.linalg.norm`` sums it.
 
-    ``a - b`` is a new contiguous array, squared in place; ``_pairwise_sum``
-    adds its last axis as ``np.add.reduce`` does, with whole-array adds at 8
-    dimensions.
+    ``a - b`` is a new contiguous array, squared in place and added by one
+    ``np.add.reduce`` over its last axis.
     """
     diff = a - b
     np.multiply(diff, diff, out=diff)
-    return np.sqrt(_pairwise_sum(diff))
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 class Gallery:
@@ -309,10 +285,11 @@ class Gallery:
             self._norms = 0.5 * squares, math.sqrt(squares.max())
         return self._norms
 
-    def nearest_person(self, feat: np.ndarray) -> tuple[int, float]:
+    def nearest_person(self, feat) -> tuple[int, float]:
         """Person owning the stored row nearest to ``feat``, and that row's distance.
 
-        ``feat`` is one (d,) row, checked as ``distances`` checks a block.
+        ``feat`` is one (d,) row, an array or a sequence of numbers, checked
+        as ``distances`` checks a block.
         The rows within the screen's margin of the smallest
         ``|v|^2/2 - v.q`` (see the module docstring) are measured exactly; of
         the rows at the exact minimum the smallest owner id wins, with the
@@ -323,6 +300,8 @@ class Gallery:
         """
         if not len(self._owners):
             raise KeyError("empty gallery")
+        if not isinstance(feat, np.ndarray):
+            feat = np.asarray(feat, dtype=np.float64)
         if feat.ndim != 1:
             raise ValueError(f"features must form an (n, d) block, got shape {(1, *feat.shape)}")
         if feat.shape[0] != self._dim:
@@ -342,8 +321,8 @@ class Gallery:
             margin = 8 * terms * (_UNIT_ROUNDOFF * reach * reach + 8 * _SMALLEST_SUBNORMAL)
             near = approx <= approx[row] + margin
             if np.count_nonzero(near) == 1:
-                # One contiguous row: np.add.reduce sums it in the pairwise
-                # order that _pairwise_sum copies.
+                # One contiguous row, summed by the same np.add.reduce as
+                # _distance, so it has the bytes of a full scan.
                 diff = self._vectors[row] - feat
                 return int(self._owners[row]), math.sqrt(np.add.reduce(diff * diff))
             rows = np.flatnonzero(near)

@@ -31,6 +31,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
+from numbers import Integral
+from operator import attrgetter, ge, gt
 from typing import Iterator, get_type_hints
 
 import numpy as np
@@ -70,9 +72,9 @@ class DetectionRecord:
         if self.conf < 0:
             raise ValidationError(f"conf must be non-negative, got {self.conf}")
 
-    @property
-    def box(self) -> tuple[float, float, float, float]:
-        return (self.bb_left, self.bb_top, self.bb_width, self.bb_height)
+    # (bb_left, bb_top, bb_width, bb_height); ``DetectionRecord.box.fget`` is
+    # the C getter, for mapping over many records.
+    box = property(attrgetter("bb_left", "bb_top", "bb_width", "bb_height"))
 
 
 @dataclass
@@ -453,6 +455,26 @@ def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
         except ValueError as exc:
             raise ValueError(f"{kind} key {key!r}: bad value {raw!r} ({exc})") from None
     return cls(**kwargs)
+
+
+def check_ranges(config, least: dict[str, int], positive=(), non_negative=()) -> None:
+    """Check a config's numeric fields, raising ``ValueError`` naming the first bad one.
+
+    Each field in ``least`` must be an integer (a ``numbers.Integral``) no
+    smaller than its value; each float field in ``positive`` must be finite
+    and > 0, and each in ``non_negative`` finite and >= 0.
+    """
+    for name, floor in least.items():
+        value = getattr(config, name)
+        if not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value}")
+    for names, rule, above in ((positive, "positive", gt), (non_negative, "non-negative", ge)):
+        for name in names:
+            value = getattr(config, name)
+            if not (math.isfinite(value) and above(value, 0)):
+                raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 
 def group_by_frame(records: list[DetectionRecord]) -> dict[int, list[DetectionRecord]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io_formats import COCO_KEYPOINT_COUNT, config_from_mapping
+from .io_formats import COCO_KEYPOINT_COUNT, check_ranges, config_from_mapping
 from .pose_orientation import LEFT_HIP, LEFT_SHOULDER, RIGHT_HIP, RIGHT_SHOULDER
 
 TWO_PI = 2.0 * math.pi
@@ -45,18 +45,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("persons", 1), ("frames", 1), ("dim", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name in ("kappa", "sigma", "sigma_det"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_ranges(self, {"persons": 1, "frames": 1, "dim": 2, "seed": 0},
+                     positive=("width", "height"), non_negative=("kappa", "sigma", "sigma_det"))
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthConfig":

@@ -19,10 +19,8 @@ of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .io_formats import (
     DetectionRecord,
     FeatureTable,
     KeypointRecord,
+    check_ranges,
     config_from_mapping,
     group_by_frame,
     parse_config,
@@ -45,7 +44,6 @@ from .io_formats import (
 from .pose_orientation import orientation_bins, orientation_from_keypoints  # noqa: F401
 
 _EMIT_MIN_SIZE = 1e-3  # px floor so emitted boxes stay valid
-_BOX = attrgetter("bb_left", "bb_top", "bb_width", "bb_height")  # DetectionRecord.box
 
 
 class MissingInputError(ValueError):
@@ -73,24 +71,12 @@ class TrackerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if self.particles < 1:
-            raise ValueError(f"particles must be >= 1, got {self.particles}")
+        check_ranges(self, {"bins": 1, "particles": 1, "confirm_hits": 1, "max_age": 0, "seed": 0},
+                     positive=("smax", "q", "r", "d0_pos", "d0_app"))
         if self.mode not in association.MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.gallery not in STRATEGIES:
             raise ValueError(f"unknown gallery strategy {self.gallery!r}")
-        for name in ("smax", "q", "r", "d0_pos", "d0_app"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.confirm_hits <= 0:
-            raise ValueError("confirm_hits must be positive")
-        if self.max_age < 0:
-            raise ValueError("max_age must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrackerConfig":
@@ -127,7 +113,8 @@ class Tracker:
         # ``filtering.box_to_measurement``'s arithmetic, on the Python floats of each box.
         measurements = np.array(
             [(left + width / 2.0, top + height / 2.0, width, height)
-             for left, top, width, height in map(_BOX, detections)], dtype=float,
+             for left, top, width, height in map(DetectionRecord.box.fget, detections)],
+            dtype=float,
         ).reshape(count, filtering.MEAS_DIM)
         feats = bins = None
         if count and cfg.mode != association.POS_ONLY:

@@ -156,6 +156,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
             SynthConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["persons", "frames", "dim", "seed"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_non_integer_count_names_its_key(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            SynthConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["kappa", "sigma", "sigma_det"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_rejects_bad_noise(self, name, value):

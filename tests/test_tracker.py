@@ -326,6 +326,21 @@ class TestConfigParsing:
             TrackerConfig(q=-1.0)
 
 
+class TestConfigIntegerFields:
+    @pytest.mark.parametrize("name", ["bins", "particles", "confirm_hits", "max_age", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_non_integer_names_its_key(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            TrackerConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name, value, least", [
+        ("confirm_hits", 0, 1), ("max_age", -1, 0), ("seed", -2, 0),
+    ])
+    def test_out_of_range_names_its_key(self, name, value, least):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
+            TrackerConfig(**{name: value})
+
+
 class TestConfigRejectsNonFinite:
     @pytest.mark.parametrize("name", ["smax", "q", "r", "d0_pos", "d0_app"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
