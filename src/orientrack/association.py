@@ -21,17 +21,13 @@ that support and NEW_TRACK, so ``combine`` equals one normalization of the
 dense product up to rounding.  ``app_only`` has no gate: it reads every pair
 through the same pair read, with the bytes of the dense read.
 
-The sampler draws a frame's rows by dependency level rather than one row at
-a time.  A row's support is its set of real-track columns with mass; two rows
-depend on each other when their supports meet, and a row's level is one more
-than the highest level among the earlier rows it depends on (0 if none).
-Rows of one level have disjoint supports, so all particles sample them in one
-batch with the row-by-row loop's arithmetic, level 0 (no taken column) once for
-all; each level gathers its rows and writes its picks back by row index.  A
-frame in which no real column has mass in two rows is one level: it skips the
-level split and samples every row at once.  That is most frames of a few
-well-separated tracks (about 85% of the crossing benchmark's) and few of a
-crowd's (about 20%).
+The sampler draws every row of a frame at once as if no column were taken,
+then redraws, in row order, only the contested rows: those that share a
+real-track column with an earlier row.  The other rows' first draws are
+already the row-by-row loop's picks, because nothing they can pick is taken
+before them.  A frame in which no real column has mass in two rows has no
+contested row; that is most frames of a few well-separated tracks (about 85%
+of the crossing benchmark's) and few of a crowd's (about 20%).
 """
 
 from __future__ import annotations
@@ -171,37 +167,6 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.minimum(np.searchsorted(np.add.accumulate(weights), positions), n - 1)
 
 
-def _levels(matrix: np.ndarray) -> list[list[int]]:
-    """The rows of each dependency level, in row order within a level.
-
-    A row's level is 0 if its real-column support meets no earlier row's
-    support, else 1 + the highest level among the earlier rows whose supports
-    it meets.  Supports are Python-int bitmasks, and ``unions[k]`` is the union
-    of level k's supports so far, so a row costs one mask test per level it
-    skips, and a row that meets no earlier support costs none.
-    """
-    packed = np.packbits(matrix[:, :-1] > 0.0, axis=1)
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    unions: list[int] = []
-    groups: list[list[int]] = []
-    seen = 0
-    for i in range(len(matrix)):
-        mask = int.from_bytes(raw[i * width:(i + 1) * width], "big")
-        level = 0
-        if mask & seen:
-            level = len(unions)
-            while not unions[level - 1] & mask:
-                level -= 1
-        seen |= mask
-        if level == len(unions):
-            unions.append(0)
-            groups.append([])
-        unions[level] |= mask
-        groups[level].append(i)
-    return groups
-
-
 def rbpf_step(
     ps: ParticleSet, matrix: np.ndarray, rng: np.random.Generator
 ) -> tuple[ParticleSet, np.ndarray]:
@@ -224,16 +189,20 @@ def rbpf_step(
     ``ValueError`` if ``matrix`` has a negative entry or a row whose sum is not
     finite (a non-finite entry, or a sum that overflows).
 
-    Rows are sampled by dependency level (``_levels``): level 0, which reads no
-    taken column, once for all particles as (rows, columns) arrays, and each
-    later level as one (P, rows, columns) batch.  A frame whose rows all sit
-    in level 0 (no real column with mass in two rows) is sampled whole,
-    without the split.  Exact: with finite row sums a
-    particle only picks a column with mass, so a real column a row could see
-    taken lies in its support, and only earlier rows of lower levels take it.
-    Each row sees the row loop's taken columns; factors multiply in row order.
+    Sampling: one ``_draw`` over every row, as if no column were taken, then
+    each contested row (one that shares a real column with an earlier row)
+    drawn again in row order, from its row times ``free``, the 1.0/0.0 mask of
+    the columns a particle has not taken.  ``free`` starts from the
+    uncontested rows' picks and takes each redrawn row's pick.  Exact: with
+    finite row sums a particle only picks a column with mass.
+    An uncontested row shares no column with any earlier row, so nothing it
+    can pick is taken before it, and its first draw is the loop's pick.  An
+    uncontested row that comes after a contested row shares no column with
+    it, so seeding ``free`` with its pick hides nothing that row could pick.
+    Multiplying by 0.0/1.0 and adding exact zeros leaves every total and cdf
+    entry as the row-by-row loop computes it; factors multiply in row order.
     """
-    # Contiguous rows: the row sums below add in the order the levels' row gathers do.
+    # Contiguous rows: each row total adds in the order of the loop's one-row sum.
     matrix = np.ascontiguousarray(matrix)
     n_det, n_cols = matrix.shape
     new_col = n_cols - 1
@@ -248,26 +217,26 @@ def rbpf_step(
             )
         # (P, n, 1) is the (P, n) particle-major stream with a trailing axis.
         uniforms = rng.random((particles, n_det, 1))
+        assignments = _draw(matrix, totals, uniforms, new_col)
         support = matrix[:, :-1] > 0.0
-        if np.count_nonzero(support) == np.count_nonzero(np.logical_or.reduce(support)):
-            # One level: no real column has mass in two rows, so no row can
-            # find its column taken.  Every row at once, straight into ``assignments``.
-            assignments = _draw(matrix, totals, uniforms, new_col)
-        else:
-            assignments = np.empty((particles, n_det), dtype=np.int64)
+        if np.count_nonzero(support) != np.count_nonzero(np.logical_or.reduce(support)):
+            # Some real column has mass in two rows.  A row is contested when an
+            # earlier row also supports one of its columns.
+            contested = np.logical_or.reduce(
+                support & (support.argmax(axis=0) < np.arange(n_det)[:, None]), axis=1
+            )
             # 0.0 where a particle took a real column: entries are finite and >= 0,
-            # so a row times ``free`` zeroes the taken ones exactly; level 0 skips it.
-            # A row with no mass left divides 0 by 0; its column is set to NEW_TRACK afterwards.
+            # so a row times ``free`` zeroes the taken ones exactly.
+            # A row with no mass left divides 0 by 0; ``_draw`` gives it NEW_TRACK.
             free = np.ones((particles, n_cols))
-            each = np.arange(particles)[:, None]
-            for k, rows in enumerate(map(np.array, _levels(matrix))):
-                # take: a row gather, cheaper per call than fancy indexing.
-                probs = matrix.take(rows, axis=0)
-                if k:
-                    probs = probs * free[:, None]
+            each = np.arange(particles)
+            kept = assignments[:, ~contested]
+            free[each[:, None], kept] = kept == new_col
+            for i in np.flatnonzero(contested):
+                probs = matrix[i] * free
                 cols = _draw(probs, np.add.reduce(probs, axis=-1, keepdims=True),
-                             uniforms.take(rows, axis=1), new_col)
-                assignments[:, rows] = cols
+                             uniforms[:, i], new_col)
+                assignments[:, i] = cols
                 free[each, cols] = cols == new_col
     # One sequential product over [weight | factors in row order], as the
     # row-by-row loop's ``weights *= factor``; a pairwise reduce would
@@ -292,9 +261,10 @@ def rbpf_step(
 
 def _draw(probs: np.ndarray, total: np.ndarray, uniforms: np.ndarray, new_col: int) -> np.ndarray:
     """Each particle's column for each row of ``probs``, by ``Generator.choice``'s
-    arithmetic: ``probs`` is (rows, columns), or (P, rows, columns) after
+    arithmetic: ``probs`` is (rows, columns), or (P, columns) for one row after
     taken columns were zeroed; ``total`` its row sums with a trailing axis and
-    ``uniforms`` the (P, rows, 1) draws.  A row without mass takes ``new_col``.
+    ``uniforms`` the matching (P, rows, 1) or (P, 1) draws.  A row without
+    mass takes ``new_col``.
 
     A row with mass has a non-decreasing ``cdf`` that ends at exactly 1.0, above
     every uniform, so its first column above u is the count of ``cdf <= u``.

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from operator import attrgetter, ge, gt
 from typing import Iterator, get_type_hints
 
@@ -461,18 +461,21 @@ def check_ranges(config, least: dict[str, int], positive=(), non_negative=()) ->
     """Check a config's numeric fields, raising ``ValueError`` naming the first bad one.
 
     Each field in ``least`` must be an integer (a ``numbers.Integral``) no
-    smaller than its value; each float field in ``positive`` must be finite
-    and > 0, and each in ``non_negative`` finite and >= 0.
+    smaller than its value; each float field in ``positive`` must be a real
+    number (a ``numbers.Real``), finite and > 0, and each in ``non_negative``
+    a finite real number >= 0.  A ``bool`` passes neither rule.
     """
     for name, floor in least.items():
         value = getattr(config, name)
-        if not isinstance(value, Integral):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < floor:
             raise ValueError(f"{name} must be >= {floor}, got {value}")
     for names, rule, above in ((positive, "positive", gt), (non_negative, "non-negative", ge)):
         for name in names:
             value = getattr(config, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and above(value, 0)):
                 raise ValueError(f"{name} must be {rule} and finite, got {value}")
 

@@ -352,6 +352,13 @@ def crowd_matrix(rng, n_det, n_trk, blocky, width, dense, empty, no_new):
     return matrix
 
 
+def contested_rows(matrix):
+    """The rows that share a real-track column with an earlier row."""
+    support = matrix[:, :-1] > 0.0
+    earlier = np.add.accumulate(support, axis=0) - support
+    return np.flatnonzero(np.any(support & (earlier > 0), axis=1))
+
+
 class TestLevelledSamplerMatchesReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -381,27 +388,37 @@ class TestLevelledSamplerMatchesReference:
             np.testing.assert_array_equal(consensus, expected)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    def test_levels_follow_overlapping_supports(self):
-        # Supports {0}, {1}, {0, 1}, {2}, {1}, none: row 2 meets rows 0 and 1,
-        # row 4 meets row 2, row 3 and the empty row 5 meet nothing.
-        support = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [0, 1, 0], [0, 0, 0]])
-        matrix = np.concatenate([support * 0.5, np.ones((6, 1))], axis=1)
-        assert association._levels(matrix) == [[0, 1, 3, 5], [2], [4]]
-        dense = np.ones((4, 3))
-        assert association._levels(dense) == [[0], [1], [2], [3]]
-        assert association._levels(np.ones((3, 1))) == [[0, 1, 2]]
-        assert association._levels(np.ones((0, 4))) == []
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chained_contested_rows_equal_choice_loop(self, seed):
+        # Row 2 meets row 0 on column 0 and row 4 meets row 2 on column 2, a
+        # chain; row 3 is uncontested and comes after the contested row 2.
+        matrix = np.array([
+            [0.8, 0.0, 0.0, 0.0, 0.0, 0.2],
+            [0.0, 0.9, 0.0, 0.0, 0.0, 0.1],
+            [0.5, 0.0, 0.4, 0.0, 0.0, 0.1],
+            [0.0, 0.0, 0.0, 0.6, 0.0, 0.4],
+            [0.0, 0.0, 0.7, 0.0, 0.1, 0.2],
+        ])
+        assert list(contested_rows(matrix)) == [2, 4]
+        ps = expected_ps = ParticleSet.initial(8)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ps, consensus = rbpf_step(ps, matrix, rng)
+        expected_ps, expected = reference_rbpf_step(expected_ps, matrix, reference_rng)
+        np.testing.assert_array_equal(ps.assignments, expected_ps.assignments)
+        np.testing.assert_array_equal(ps.weights, expected_ps.weights)
+        np.testing.assert_array_equal(consensus, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_empty_level_0_row_takes_new_track_in_every_particle(self):
-        # Rows 0, 1 and 2 form level 0; row 1 has no mass at all, NEW_TRACK
-        # included.  Row 3 meets row 0's support, so it is level 1.
+        # Rows 0, 1 and 2 are uncontested, so their first draws stand; row 1
+        # has no mass at all, NEW_TRACK included.  Row 3 meets row 0's
+        # support, so it is contested and redrawn.
         matrix = np.array([
             [0.6, 0.0, 0.0, 0.4],
             [0.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.7, 0.3],
             [0.5, 0.3, 0.0, 0.2],
         ])
-        assert association._levels(matrix) == [[0, 1, 2], [3]]
         ps = expected_ps = ParticleSet.initial(6)
         rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
         ps, consensus = rbpf_step(ps, matrix, rng)
@@ -423,7 +440,7 @@ class TestLevelledSamplerMatchesReference:
 class TestTrackerWithReferenceSampler:
     def test_crowd_clip_writes_identical_tracks(self, monkeypatch):
         # A short clip of the 32-person circling crowd, whose gated frames
-        # span several dependency levels and whose persons hold several
+        # hold several contested rows and whose persons hold several
         # orientation-bin rows each.  The reference run samples with one
         # rng.choice per row and reads the gallery with one norm per pair.
         data = generate(SynthConfig(persons=32, frames=12, sigma_det=2.0, kappa=0.8,
@@ -448,7 +465,7 @@ class TestTrackerWithReferenceSampler:
         monkeypatch.setattr(association, "rbpf_step", recording)
         monkeypatch.setattr(Gallery, "pair_distances", recording_distances)
         text = track()
-        assert max(len(association._levels(m)) for m in matrices) > 2
+        assert max(len(contested_rows(m)) for m in matrices) > 2
         assert max(np.bincount(o).max() for o in owners if len(o)) > 1
         monkeypatch.setattr(association, "rbpf_step", reference_rbpf_step)
         monkeypatch.setattr(Gallery, "pair_distances", reference_pair_distances)

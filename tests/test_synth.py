@@ -157,9 +157,16 @@ class TestConfigValidation:
             SynthConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["persons", "frames", "dim", "seed"])
-    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True, False])
     def test_non_integer_count_names_its_key(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("kappa", "0.5"), ("sigma", None), ("sigma_det", True), ("width", False), ("height", "640"),
+    ])
+    def test_non_real_float_names_its_key(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             SynthConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["kappa", "sigma", "sigma_det"])

@@ -328,7 +328,7 @@ class TestConfigParsing:
 
 class TestConfigIntegerFields:
     @pytest.mark.parametrize("name", ["bins", "particles", "confirm_hits", "max_age", "seed"])
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, False])
     def test_non_integer_names_its_key(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
             TrackerConfig(**{name: bad})
@@ -338,6 +338,13 @@ class TestConfigIntegerFields:
     ])
     def test_out_of_range_names_its_key(self, name, value, least):
         with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
+            TrackerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("q", "1"), ("r", None), ("smax", True), ("d0_pos", False), ("d0_app", [1.0]),
+    ])
+    def test_non_real_float_names_its_key(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             TrackerConfig(**{name: value})
 
 
