@@ -42,6 +42,7 @@ from .filtering import MEAS_DIM, STATE_DIM, TrackState, gated_squared_mahalanobi
 # (and perfbench's tracer) that look it up on this module.
 from .filtering import mahalanobis  # noqa: F401
 from .gallery import Gallery
+from .io_formats import check_count
 
 # 95% quantile of chi-square with 4 degrees of freedom, applied to squared
 # Mahalanobis distance before softmin weighting.
@@ -148,8 +149,7 @@ class ParticleSet:
 
     @classmethod
     def initial(cls, particles: int) -> "ParticleSet":
-        if particles < 1:
-            raise ValueError(f"particle count must be >= 1, got {particles}")
+        particles = check_count(particles, "particles", 1)
         return cls(
             assignments=np.zeros((particles, 0), dtype=np.int64),
             weights=np.full(particles, 1.0 / particles),

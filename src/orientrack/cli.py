@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import association, metrics, synth, tracker
 from .io_formats import parse_config, parse_features, parse_keypoints, parse_mot
-from .io_formats import ParseError, ValidationError, write_tracks
+from .io_formats import ParseError, ValidationError, check_count, write_tracks
 
 _MODE_STRATEGIES = {"full": "full", "avg": "averaged"}
 
@@ -27,9 +27,7 @@ def _bin_count(entry: str, where: str) -> int:
         count = int(entry)
     except ValueError:
         raise ValueError(f"bad bin count {entry!r} in {where}") from None
-    if count < 1:
-        raise ValueError(f"bin count must be >= 1, got {entry!r} in {where}")
-    return count
+    return check_count(count, f"bin count {entry!r} in {where}", 1)
 
 
 def _parse_reid_mode(raw: str) -> tuple[str, int]:
@@ -70,8 +68,7 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
         raise ValueError("orient mode requires --keypoints")
     sweep = None if args.sweep_bins is None else _parse_sweep_bins(args.sweep_bins)
     metrics.check_open_unit(args.split, "--split")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    check_count(args.seed, "--seed", 0)
     bin_counts = sweep if sweep and strategy in ("random", "orient") else [bins]
     items = metrics.label_features(
         parse_features(_read(args.features)),

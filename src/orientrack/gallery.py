@@ -50,6 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .io_formats import check_count
+
 STRATEGIES = ("full", "averaged", "random", "orient")
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -94,12 +96,10 @@ class Gallery:
     def __init__(self, strategy: str, bins: int = 1, seed: int = 0):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-        bins = int(_whole_numbers(bins, "bin count"))
-        if bins < 1:
-            raise ValueError(f"bin count must be >= 1, got {bins}")
+        bins = check_count(bins, "bin count", 1)
         self.strategy = strategy
         self.bins = 1 if strategy == "averaged" else bins
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(check_count(seed, "seed", 0))
         self._dim: int | None = None
         self._vectors = np.empty((0, 0))
         self._owners = np.empty(0, dtype=np.int64)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import chain
 from numbers import Integral, Real
-from operator import attrgetter, ge, gt
+from operator import attrgetter
 from typing import Iterator, get_type_hints
 
 import numpy as np
@@ -457,27 +457,31 @@ def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
     return cls(**kwargs)
 
 
-def check_ranges(config, least: dict[str, int], positive=(), non_negative=()) -> None:
-    """Check a config's numeric fields, raising ``ValueError`` naming the first bad one.
+def check_count(value, name: str, least: int) -> int:
+    """``value`` as an int if it is an Integral (not a bool) >= ``least``, else ValueError."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
-    Each field in ``least`` must be an integer (a ``numbers.Integral``) no
-    smaller than its value; each float field in ``positive`` must be a real
-    number (a ``numbers.Real``), finite and > 0, and each in ``non_negative``
-    a finite real number >= 0.  A ``bool`` passes neither rule.
-    """
+
+def check_real(value, name: str, rule: str = "positive") -> None:
+    """Reject all but a finite Real (not a bool) > 0, or >= 0 if ``rule`` is "non-negative"."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > 0 if rule == "positive" else value >= 0)):
+        raise ValueError(f"{name} must be {rule} and finite, got {value}")
+
+
+def check_ranges(config, least: dict[str, int], positive=(), non_negative=()) -> None:
+    """``check_count`` each of a config's fields in ``least`` against its floor, then
+    ``check_real`` each in ``positive`` and ``non_negative``: the first bad one raises."""
     for name, floor in least.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value}")
-        if value < floor:
-            raise ValueError(f"{name} must be >= {floor}, got {value}")
-    for names, rule, above in ((positive, "positive", gt), (non_negative, "non-negative", ge)):
+        check_count(getattr(config, name), name, floor)
+    for names, rule in ((positive, "positive"), (non_negative, "non-negative")):
         for name in names:
-            value = getattr(config, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and above(value, 0)):
-                raise ValueError(f"{name} must be {rule} and finite, got {value}")
+            check_real(getattr(config, name), name, rule)
 
 
 def group_by_frame(records: list[DetectionRecord]) -> dict[int, list[DetectionRecord]]:

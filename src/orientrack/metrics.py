@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .gallery import Gallery
-from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, group_by_frame
+from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, check_count, group_by_frame
 from .pose_orientation import orientation_bin, s2t_ratios
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -109,7 +109,7 @@ def split_gallery_query(
     single-item persons go to the gallery only.
     """
     check_open_unit(gallery_fraction, "gallery fraction")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", 0))
     by_person: dict[int, list[LabeledFeature]] = {}
     for item in items:
         by_person.setdefault(item.person, []).append(item)

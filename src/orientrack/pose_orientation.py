@@ -9,11 +9,13 @@ away from the camera, negative means facing the camera.
 Orientation takes two steps.  First a row's S2T, from the one row rule
 ``_s2t``, NaN where the orientation is unavailable (``s2t_ratio`` alone raises
 ``OrientationUnavailable`` there).  Then that S2T's bin, ``_bin_index``: NaN
-goes to ``fallback_bin`` and +-inf to the clamped edge bin.  Every form goes
-through them (``s2t_ratio`` and ``s2t_ratios`` stop after the first), and so
-does ``metrics.build_gallery``, so tracking and re-ID file a detection alike.
-The block forms loop the row rule over Python floats: at 4 rows that took
-7.6 us against 29 us for an elementwise numpy form (2-core Xeon, Python 3.11).
+goes to ``fallback_bin`` and +-inf to the clamped edge bin; ``bins`` and
+``smax`` are checked by ``io_formats.check_count`` and ``check_real``, as a
+config's are.  Every form goes through them (``s2t_ratio`` and ``s2t_ratios``
+stop after the first), and so does ``metrics.build_gallery``, so tracking and
+re-ID file a detection alike.  The block forms loop the row rule over Python
+floats: at 4 rows that took 7.6 us against 29 us for an elementwise numpy
+form (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .io_formats import check_count, check_real
 
 # COCO-18 keypoint indices for the torso.
 RIGHT_SHOULDER = 2
@@ -107,15 +111,6 @@ def s2t_ratios(keypoints: np.ndarray) -> np.ndarray:
     return np.array([_s2t_or_nan(row) for row in rows], dtype=float)
 
 
-def _check_bin_parameters(bins: int, smax: float) -> None:
-    """Reject a bin count that is not a whole number >= 1, and an smax that
-    is not positive and finite (NaN fails every comparison)."""
-    if not (bins >= 1 and bins % 1 == 0):
-        raise ValueError(f"bin count must be an integer >= 1, got {bins}")
-    if not 0.0 < smax < math.inf:
-        raise ValueError(f"smax must be positive and finite, got {smax}")
-
-
 def _bin_index(s2t: float, bins: int, smax: float) -> int:
     """The bin of an S2T value, for parameters already checked; NaN takes the fallback bin."""
     if s2t != s2t:
@@ -127,7 +122,8 @@ def _bin_index(s2t: float, bins: int, smax: float) -> int:
 def orientation_bin(s2t: float, bins: int, smax: float = 1.0) -> int:
     """Map an S2T value to a bin via a uniform clamped partition of [-smax, smax];
     NaN, an unavailable orientation, maps to ``fallback_bin(bins)``."""
-    _check_bin_parameters(bins, smax)
+    bins = check_count(bins, "bin count", 1)
+    check_real(smax, "smax")
     return _bin_index(s2t, bins, smax)
 
 
@@ -144,7 +140,8 @@ def orientation_bins(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(bins, valid)`` of an (n, 18, 3) keypoint block, two (n,) arrays: the block
     form of ``orientation_from_keypoints``, ``s2t_ratios`` then the bin step."""
-    _check_bin_parameters(bins, smax)
+    bins = check_count(bins, "bin count", 1)
+    check_real(smax, "smax")
     ratios = s2t_ratios(keypoints)
     out = [_bin_index(ratio, bins, smax) for ratio in ratios.tolist()]
     return np.array(out, dtype=np.int64), ratios == ratios

@@ -359,7 +359,7 @@ def contested_rows(matrix):
     return np.flatnonzero(np.any(support & (earlier > 0), axis=1))
 
 
-class TestLevelledSamplerMatchesReference:
+class TestContestedRedrawMatchesReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
         particles=st.integers(1, 8),
@@ -409,7 +409,7 @@ class TestLevelledSamplerMatchesReference:
         np.testing.assert_array_equal(consensus, expected)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    def test_empty_level_0_row_takes_new_track_in_every_particle(self):
+    def test_massless_first_row_takes_new_track_in_every_particle(self):
         # Rows 0, 1 and 2 are uncontested, so their first draws stand; row 1
         # has no mass at all, NEW_TRACK included.  Row 3 meets row 0's
         # support, so it is contested and redrawn.
