@@ -42,7 +42,7 @@ from .filtering import MEAS_DIM, STATE_DIM, TrackState, gated_squared_mahalanobi
 # (and perfbench's tracer) that look it up on this module.
 from .filtering import mahalanobis  # noqa: F401
 from .gallery import Gallery
-from .io_formats import check_count
+from .io_formats import check_choice, check_count
 
 # 95% quantile of chi-square with 4 degrees of freedom, applied to squared
 # Mahalanobis distance before softmin weighting.
@@ -123,8 +123,7 @@ def appearance_likelihood(
 
 def combine(pos: np.ndarray | None, app: np.ndarray | None, mode: str) -> np.ndarray:
     """Fuse the two likelihood factors according to the ablation mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    check_choice(mode, "mode", MODES)
     if mode == POS_ONLY:
         if pos is None:
             raise ValueError("pos_only mode requires a position matrix")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import association, metrics, synth, tracker
 from .io_formats import parse_config, parse_features, parse_keypoints, parse_mot
-from .io_formats import ParseError, ValidationError, check_count, write_tracks
+from .io_formats import ParseError, ValidationError, check_count, check_real, write_tracks
 
 _MODE_STRATEGIES = {"full": "full", "avg": "averaged"}
 
@@ -67,7 +67,7 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
     if strategy == "orient" and args.keypoints is None:
         raise ValueError("orient mode requires --keypoints")
     sweep = None if args.sweep_bins is None else _parse_sweep_bins(args.sweep_bins)
-    metrics.check_open_unit(args.split, "--split")
+    check_real(args.split, "--split", "fraction")
     check_count(args.seed, "--seed", 0)
     bin_counts = sweep if sweep and strategy in ("random", "orient") else [bins]
     items = metrics.label_features(
@@ -89,7 +89,7 @@ def _cmd_eval_reid(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_mot(args: argparse.Namespace) -> int:
-    metrics.check_open_unit(args.iou, "--iou")
+    check_real(args.iou, "--iou", "fraction")
     scores = metrics.idf1(
         parse_mot(_read(args.gt)), parse_mot(_read(args.pred)), args.iou
     )

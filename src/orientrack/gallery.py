@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .io_formats import check_count
+from .io_formats import check_choice, check_count
 
 STRATEGIES = ("full", "averaged", "random", "orient")
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -94,8 +94,7 @@ class Gallery:
     """
 
     def __init__(self, strategy: str, bins: int = 1, seed: int = 0):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+        check_choice(strategy, "strategy", STRATEGIES)
         bins = check_count(bins, "bin count", 1)
         self.strategy = strategy
         self.bins = 1 if strategy == "averaged" else bins

@@ -458,7 +458,7 @@ def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
 
 
 def check_count(value, name: str, least: int) -> int:
-    """``value`` as an int if it is an Integral (not a bool) >= ``least``, else ValueError."""
+    """The count rule: ``value`` as an int if an Integral (not a bool) >= ``least``."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
@@ -467,21 +467,30 @@ def check_count(value, name: str, least: int) -> int:
 
 
 def check_real(value, name: str, rule: str = "positive") -> None:
-    """Reject all but a finite Real (not a bool) > 0, or >= 0 if ``rule`` is "non-negative"."""
+    """Real and fraction rules: a finite Real, not a bool, > 0, >= 0 or in (0, 1) by ``rule``."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if rule == "fraction" and not 0 < value < 1:
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
     if not (math.isfinite(value) and (value > 0 if rule == "positive" else value >= 0)):
         raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 
-def check_ranges(config, least: dict[str, int], positive=(), non_negative=()) -> None:
-    """``check_count`` each of a config's fields in ``least`` against its floor, then
-    ``check_real`` each in ``positive`` and ``non_negative``: the first bad one raises."""
+def check_choice(value, name: str, choices: tuple) -> None:
+    """The choice rule: one of ``choices``; a value not of their type is not compared."""
+    if type(value) is not type(choices[0]) or value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def check_ranges(config, least: dict[str, int], positive=(), non_negative=(), choices=None):
+    """The count, real and choice rules on a config's fields, in turn: the first bad one raises."""
     for name, floor in least.items():
         check_count(getattr(config, name), name, floor)
     for names, rule in ((positive, "positive"), (non_negative, "non-negative")):
         for name in names:
             check_real(getattr(config, name), name, rule)
+    for name, options in (choices or {}).items():
+        check_choice(getattr(config, name), name, options)
 
 
 def group_by_frame(records: list[DetectionRecord]) -> dict[int, list[DetectionRecord]]:

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .gallery import Gallery
-from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, check_count, group_by_frame
+from .io_formats import DetectionRecord, FeatureTable, KeypointRecord, group_by_frame
+from .io_formats import check_count, check_real
 from .pose_orientation import orientation_bin, s2t_ratios
 
 DEFAULT_IOU_THRESHOLD = 0.5
@@ -94,12 +95,6 @@ def iou(box_a: tuple[float, float, float, float],
     return float(_iou(_corners(box_a), _corners(box_b)))
 
 
-def check_open_unit(value: float, name: str) -> None:
-    """Reject a value outside (0, 1), NaN included; the error names ``name``."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-
-
 def split_gallery_query(
     items: list[LabeledFeature], gallery_fraction: float = 0.8, seed: int = 0
 ) -> tuple[list[LabeledFeature], list[LabeledFeature]]:
@@ -108,7 +103,7 @@ def split_gallery_query(
     Persons with at least two items keep at least one item on each side;
     single-item persons go to the gallery only.
     """
-    check_open_unit(gallery_fraction, "gallery fraction")
+    check_real(gallery_fraction, "gallery fraction", "fraction")
     rng = np.random.default_rng(check_count(seed, "seed", 0))
     by_person: dict[int, list[LabeledFeature]] = {}
     for item in items:
@@ -181,7 +176,7 @@ def _walk(gt: list[DetectionRecord], pred: list[DetectionRecord], threshold: flo
     above the threshold are the frame's IDF1 matches; its persistence pass and
     assignment are the switch counter's.  Returns IDTP and the switch count.
     """
-    check_open_unit(threshold, "IoU threshold")
+    check_real(threshold, "IoU threshold", "fraction")
     (g_frame, g_id, g_box, g_first), (p_frame, p_id, p_box, _) = _rows(gt), _rows(pred)
     frames = np.unique(g_frame)
     bounds = [np.searchsorted(f, frames, side=side).tolist()

@@ -46,7 +46,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_ranges(self, {"persons": 1, "frames": 1, "dim": 2, "seed": 0},
-                     positive=("width", "height"), non_negative=("kappa", "sigma", "sigma_det"))
+                     positive=("width", "height"), non_negative=("kappa", "sigma", "sigma_det"),
+                     choices={"crossing": (False, True)})
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthConfig":

@@ -72,11 +72,8 @@ class TrackerConfig:
 
     def __post_init__(self) -> None:
         check_ranges(self, {"bins": 1, "particles": 1, "confirm_hits": 1, "max_age": 0, "seed": 0},
-                     positive=("smax", "q", "r", "d0_pos", "d0_app"))
-        if self.mode not in association.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.gallery not in STRATEGIES:
-            raise ValueError(f"unknown gallery strategy {self.gallery!r}")
+                     positive=("smax", "q", "r", "d0_pos", "d0_app"),
+                     choices={"mode": association.MODES, "gallery": STRATEGIES})
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "TrackerConfig":
