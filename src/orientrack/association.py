@@ -1,11 +1,11 @@
 """Factored position x appearance association likelihoods and RBPF assignment.
 
 Likelihood matrices have one row per detection and one column per active
-track plus a trailing NEW_TRACK column.  Rows are probability distributions
-(softmin of distances, row-normalized); every particle samples one-to-one
-assignments from them afresh each frame, so no association hypothesis
-survives a frame and only particle weights carry over (ROADMAP.md's open item
-"A real Rao-Blackwellized particle filter").
+track plus a trailing NEW_TRACK column.  The two factors hold softmin
+weights, exp(-distance); ``combine`` alone normalizes, once a frame, into the
+rows from which every particle samples one-to-one assignments afresh, so no
+association hypothesis survives a frame and only particle weights carry over
+(ROADMAP.md's open item "A real Rao-Blackwellized particle filter").
 
 The likelihoods are computed gate first, so a frame's distance work grows
 with the pairs the chi-square gate can let through rather than with
@@ -14,12 +14,11 @@ distance only on the pairs an exact pre-gate keeps: with innovation y and
 S = H P H^T + r I, d^2 >= y_i^2 / S_ii for each coordinate i, so a pair with
 y_i^2 > 2 CHI2_GATE S_ii is surely gated out; the factor 2 is the rounding
 margin, proven in ``filtering.gated_squared_mahalanobis``, so no pair the
-dense computation keeps is left out.  Under ``pos_app``,
-``appearance_likelihood`` then reads the gallery only on the position
-factor's support (``Gallery.pair_distances``) and normalizes each row over
-that support and NEW_TRACK, so ``combine`` equals one normalization of the
-dense product up to rounding.  ``app_only`` has no gate: it reads every pair
-through the same pair read, with the bytes of the dense read.
+dense computation keeps is left out, and its weights equal the dense ones up
+to rounding.  Under ``pos_app``, ``appearance_likelihood`` then reads the
+gallery only on the position factor's support (``Gallery.pair_distances``);
+off it the position weight is 0, so ``combine`` gives the bytes it gives
+after a read of every pair.  ``app_only`` has no gate and reads every pair.
 
 The sampler draws every row of a frame at once as if no column were taken,
 then redraws, in row order, only the contested rows: those that share a
@@ -76,20 +75,20 @@ def position_likelihood(
     r: float = 10.0,
     d0: float = DEFAULT_D0_POS,
 ) -> np.ndarray:
-    """Softmin of Mahalanobis distances, gated, with a constant NEW_TRACK floor.
+    """Softmin weights of Mahalanobis distances, gated, with a NEW_TRACK floor.
 
     ``tracks`` is the stacked state of the live tracks.  Squared distances
     are computed only for the pairs that ``filtering.gated_squared_mahalanobis``'s
     exact pre-gate keeps, by one stacked solve; a pair whose squared distance
     exceeds ``CHI2_GATE`` gets 0, as does every pair the pre-gate leaves out,
     any other pair ``exp(-d)``, and the NEW_TRACK column ``exp(-d0)``.
-    Returns an (n_detections, n_tracks + 1) row-stochastic matrix.
+    Returns these (n_detections, n_tracks + 1) weights, not normalized.
     """
     matrix = np.zeros((np.size(measurements) // MEAS_DIM, tracks.mean.size // STATE_DIM + 1))
     dets, cols, squared = gated_squared_mahalanobis(tracks, measurements, CHI2_GATE, r)
     matrix[dets, cols] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
     matrix[:, -1] = np.exp(-d0)
-    return _normalize_rows(matrix)
+    return matrix
 
 
 def appearance_likelihood(
@@ -99,30 +98,30 @@ def appearance_likelihood(
     d0_app: float = DEFAULT_D0_APP,
     support: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Softmin of nearest-gallery-feature distances per (detection, track) pair.
+    """Softmin weights ``exp(-d)`` of nearest-gallery-feature distances, not normalized.
 
-    Tracks without any stored appearance get the same constant floor as the
-    NEW_TRACK column, making them indistinguishable from a new identity on
-    appearance alone.  ``support`` is an optional (n_detections, n_tracks)
-    array whose nonzero entries are the pairs to read, such as the position
-    factor's real columns; without it every pair is read, as ``app_only``
-    mode, which has no gate, does.  Only those pairs are read
-    (``Gallery.pair_distances``), every other real entry is 0, and each row
-    is normalised over its support and NEW_TRACK.
+    The NEW_TRACK column and a track with no stored appearance get the floor
+    ``exp(-d0_app)``, so on appearance alone that track looks like a new one.
+    ``support``, an optional (n_detections, n_tracks) array, selects by its
+    nonzero entries the pairs read (``Gallery.pair_distances``), such as the
+    position factor's real columns, and every other real entry is 0; without
+    it every pair is read, as in ``app_only`` mode, which has no gate.
     """
     floor = np.exp(-d0_app)
-    if support is None:
-        support = np.ones((len(features), len(track_ids)), dtype=bool)
-    matrix = np.zeros((support.shape[0], support.shape[1] + 1))
+    shape = (len(features), len(track_ids))
+    support = np.ones(shape, dtype=bool) if support is None else support
+    if support.shape != shape:
+        raise ValueError(f"support shape mismatch: {support.shape} vs {shape}")
+    matrix = np.zeros((shape[0], shape[1] + 1))
     dets, cols = support.nonzero()
     distances = gallery.pair_distances(features, dets, np.asarray(track_ids).take(cols))
     matrix[dets, cols] = np.where(np.isfinite(distances), np.exp(-distances), floor)
     matrix[:, -1] = floor
-    return _normalize_rows(matrix)
+    return matrix
 
 
 def combine(pos: np.ndarray | None, app: np.ndarray | None, mode: str) -> np.ndarray:
-    """Fuse the two likelihood factors according to the ablation mode."""
+    """Fuse the likelihood factors by the ablation mode and normalize the rows, once."""
     check_choice(mode, "mode", MODES)
     if mode == POS_ONLY:
         if pos is None:
@@ -174,8 +173,9 @@ def rbpf_step(
     Each particle samples a fresh column per detection row, excluding
     real-track columns it already took this frame (NEW_TRACK can repeat);
     ``ps.assignments`` is never read, only ``ps.weights`` carry over.
-    Weights are multiplied by the sampled probabilities, renormalized, and
-    systematically resampled when the effective sample size drops below P/2.
+    Weights are multiplied by the sampled entries of ``combine``'s normalized
+    fused probabilities, renormalized, and systematically resampled when the
+    effective sample size drops below P/2.
     The consensus assignment is the highest-weight particle's assignment.
 
     Draw contract: one uniform per (particle, detection), drawn up front as

@@ -460,7 +460,7 @@ def config_from_mapping(cls, mapping: dict[str, str], kind: str = "config"):
 def check_count(value, name: str, least: int) -> int:
     """The count rule: ``value`` as an int if an Integral (not a bool) >= ``least``."""
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ValueError(f"{name} must be an integer, got {value}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)

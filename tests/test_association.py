@@ -49,15 +49,14 @@ def track_at(cx, cy, w=40.0, h=80.0, tight=True):
 
 class TestPositionLikelihood:
     def test_detection_at_prediction(self):
-        # High-precision oracle: row = (1, e^-9) renormalized.
+        # High-precision oracle: the weights (e^0, e^-9), which combine
+        # renormalizes.
         matrix = position_likelihood(
             stacked([track_at(100, 100)]), [np.array([100.0, 100.0, 40.0, 80.0])],
             r=10.0, d0=9.0,
         )
-        expected = np.array([1.0, math.exp(-9.0)])
-        expected /= expected.sum()
-        np.testing.assert_allclose(matrix[0], expected, atol=1e-12)
-        assert matrix[0, 0] == pytest.approx(0.99988, abs=1e-5)
+        np.testing.assert_allclose(matrix[0], [1.0, math.exp(-9.0)], atol=1e-12)
+        assert combine(matrix, None, "pos_only")[0, 0] == pytest.approx(0.99988, abs=1e-5)
 
     def test_symmetric_tracks_get_equal_mass(self):
         tracks = [track_at(90, 100), track_at(110, 100)]
@@ -71,7 +70,8 @@ class TestPositionLikelihood:
             stacked([track_at(0, 0)]), [np.array([5000.0, 5000.0, 40.0, 80.0])],
             r=10.0, d0=4.0,
         )
-        np.testing.assert_allclose(matrix[0], [0.0, 1.0])
+        np.testing.assert_allclose(matrix[0], [0.0, math.exp(-4.0)])
+        np.testing.assert_allclose(combine(matrix, None, "pos_only")[0], [0.0, 1.0])
 
     def test_gate_applies_to_squared_distance(self):
         # r = 1 and a zero state covariance make S = I, so d^2 = dx^2.
@@ -82,11 +82,11 @@ class TestPositionLikelihood:
         assert matrix[0, 0] > 0.0
         assert matrix[1, 0] == 0.0
 
-    def test_rows_sum_to_one(self):
+    def test_combined_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         tracks = [track_at(*rng.uniform(0, 500, 2), tight=False) for _ in range(4)]
         dets = [np.concatenate([rng.uniform(0, 500, 2), [40, 80]]) for _ in range(6)]
-        matrix = position_likelihood(stacked(tracks), dets)
+        matrix = combine(position_likelihood(stacked(tracks), dets), None, "pos_only")
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -96,11 +96,10 @@ class TestAppearanceLikelihood:
         g.insert(1, np.array([1.0, 0.0]))
         g.insert(2, np.array([-5.0, 0.0]))  # distance >= 5 from the query
         matrix = appearance_likelihood(g, [np.array([1.0, 0.0])], [1, 2], d0_app=5.0)
-        # Oracle: softmin over (0, 6, 5) -> e^0 dominates the 3 columns.
+        # Oracle: softmin weights of (0, 6, 5) -> e^0 dominates the 3 columns.
         expected = np.array([1.0, math.exp(-6.0), math.exp(-5.0)])
-        expected /= expected.sum()
         np.testing.assert_allclose(matrix[0], expected, atol=1e-12)
-        assert matrix[0, 0] >= 0.7
+        assert combine(None, matrix, "app_only")[0, 0] >= 0.7
 
     def test_equidistant_persons_get_equal_mass(self):
         g = Gallery("averaged")
@@ -112,7 +111,18 @@ class TestAppearanceLikelihood:
     def test_empty_galleries_are_uninformative(self):
         g = Gallery("averaged")
         matrix = appearance_likelihood(g, [np.array([1.0, 0.0])], [1, 2], d0_app=1.5)
-        np.testing.assert_allclose(matrix[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(matrix[0], [math.exp(-1.5)] * 3, atol=1e-12)
+        np.testing.assert_allclose(combine(None, matrix, "app_only")[0], [1 / 3] * 3,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_support_of_another_shape_is_rejected(self, rows):
+        g = Gallery("averaged")
+        g.insert(1, np.array([1.0, 0.0]))
+        feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        support = np.ones((rows, 2), dtype=bool)
+        with pytest.raises(ValueError, match=rf"^support shape mismatch: \({rows}, 2\) vs \(2, 2\)$"):
+            appearance_likelihood(g, feats, [1, 2], support=support)
 
 
 class TestCombine:
@@ -134,6 +144,18 @@ class TestCombine:
     def test_app_only_passthrough(self):
         app = np.array([[0.6, 0.4]])
         np.testing.assert_allclose(combine(None, app, "app_only"), app, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["pos_only", "app_only", "pos_app"])
+    def test_rows_sum_to_one(self, mode):
+        # The factors' softmin weights are not normalized; combine is.  A row
+        # without mass falls back to NEW_TRACK.
+        rng = np.random.default_rng(0)
+        pos, app = np.exp(-rng.uniform(0, 5, (2, 6, 5)))
+        pos[2] = app[4] = 0.0
+        matrix = combine(pos, app, mode)
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+        empty = {"pos_only": [2], "app_only": [4], "pos_app": [2, 4]}[mode]
+        np.testing.assert_array_equal(matrix[empty], [[0, 0, 0, 0, 1]] * len(empty))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -227,14 +249,13 @@ def reference_squared_mahalanobis(state, z, r):
 
 
 def reference_position_likelihood(tracks, measurements, r, d0, gate=CHI2_GATE):
-    """Per-pair loop over the one-pair distance, then per-row normalisation."""
+    """Per-pair loop over the one-pair distance, as softmin weights."""
     matrix = np.zeros((len(measurements), len(tracks) + 1))
     for i, z in enumerate(measurements):
         for j, track in enumerate(tracks):
             d = np.sqrt(reference_squared_mahalanobis(track, z, r))
             matrix[i, j] = 0.0 if d * d > gate else np.exp(-d)
         matrix[i, -1] = np.exp(-d0)
-        matrix[i] /= matrix[i].sum()
     return matrix
 
 
@@ -510,12 +531,14 @@ def dense_position_likelihood(tracks, measurements, r, d0):
     matrix = np.empty((squared.shape[0], squared.shape[1] + 1))
     matrix[:, :-1] = np.where(squared > CHI2_GATE, 0.0, np.exp(-np.sqrt(squared)))
     matrix[:, -1] = np.exp(-d0)
-    return association._normalize_rows(matrix)
+    return matrix
 
 
 class TestGateFirst:
-    """The exact pre-gate keeps every pair the dense distances keep, and the
-    gate-first matrices equal the dense ones up to rounding."""
+    """The exact pre-gate keeps every pair the dense distances keep, the
+    gate-first position weights equal the dense ones up to rounding, and
+    under pos_app appearance read on the gated pairs fuses to the bytes of a
+    read of every pair."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -596,11 +619,13 @@ class TestGateFirst:
                           dense_position_likelihood(tracks, dets, r, d0))
         app = appearance_likelihood(g, feats, ids, d0_app, pos[:, :-1])
         dense_app = appearance_likelihood(g, feats, ids, d0_app)
-        np.testing.assert_allclose(app.sum(axis=1), 1.0, rtol=1e-12)
         assert np.all(app[:, :-1][pos[:, :-1] == 0.0] == 0.0)
+        fused = combine(pos, app, "pos_app")
+        np.testing.assert_allclose(fused.sum(axis=1), 1.0, rtol=1e-12)
+        assert fused.tobytes() == combine(pos, dense_app, "pos_app").tobytes()
         for mode, got, expected in (
             ("pos_only", combine(pos, None, "pos_only"), combine(dense_pos, None, "pos_only")),
-            ("pos_app", combine(pos, app, "pos_app"), combine(dense_pos, dense_app, "pos_app")),
+            ("pos_app", fused, combine(dense_pos, dense_app, "pos_app")),
         ):
             assert got.shape == expected.shape == (n_det, n_trk + 1), mode
             np.testing.assert_array_equal(got == 0.0, expected == 0.0, err_msg=mode)

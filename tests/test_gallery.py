@@ -236,7 +236,7 @@ def reference_pair_distances(gallery, features, dets, persons):
 
 
 def reference_appearance_likelihood(gallery, features, track_ids, d0_app):
-    """Per-pair loop over min_distance with a KeyError floor, then per-row normalisation."""
+    """Per-pair loop over min_distance with a KeyError floor, as softmin weights."""
     floor = np.exp(-d0_app)
     matrix = np.zeros((len(features), len(track_ids) + 1))
     for i, feat in enumerate(features):
@@ -246,8 +246,6 @@ def reference_appearance_likelihood(gallery, features, track_ids, d0_app):
             except KeyError:
                 matrix[i, j] = floor
         matrix[i, -1] = floor
-    for i in range(matrix.shape[0]):
-        matrix[i] /= matrix[i].sum()
     return matrix
 
 

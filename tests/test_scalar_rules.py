@@ -55,7 +55,9 @@ COUNT_IDS = [f"{entry}-{name}" for entry, name, _ in COUNTS]
 @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
 @pytest.mark.parametrize("entry, name, call", COUNTS, ids=COUNT_IDS)
 def test_bad_count_is_rejected_by_name(entry, name, call, value):
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+    # The value is shown by its repr, so the string "2" reads as '2', not 2.
+    got = re.escape(f"got {value!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*{got}$"):
         call(value)
 
 
