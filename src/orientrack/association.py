@@ -10,15 +10,14 @@ association hypothesis survives a frame and only particle weights carry over
 The likelihoods are computed gate first, so a frame's distance work grows
 with the pairs the chi-square gate can let through rather than with
 detections x tracks.  ``position_likelihood`` measures squared Mahalanobis
-distance only on the pairs an exact pre-gate keeps: with innovation y and
-S = H P H^T + r I, d^2 >= y_i^2 / S_ii for each coordinate i, so a pair with
-y_i^2 > 2 CHI2_GATE S_ii is surely gated out; the factor 2 is the rounding
-margin, proven in ``filtering.gated_squared_mahalanobis``, so no pair the
-dense computation keeps is left out, and its weights equal the dense ones up
-to rounding.  Under ``pos_app``, ``appearance_likelihood`` then reads the
-gallery only on the position factor's support (``Gallery.pair_distances``);
-off it the position weight is 0, so ``combine`` gives the bytes it gives
-after a read of every pair.  ``app_only`` has no gate and reads every pair.
+distance only on the pairs that ``filtering.gated_squared_mahalanobis``'s
+pre-gate keeps, a superset of those within the gate; the dense
+``squared_mahalanobis`` is that kernel with every pair kept, so the gated
+weights equal the dense ones byte for byte.  Under ``pos_app``,
+``appearance_likelihood`` then reads the gallery only on the position
+factor's support (``Gallery.pair_distances``); off it the position weight is
+0, so ``combine`` gives the bytes it gives after a read of every pair.
+``app_only`` has no gate and reads every pair.
 
 The sampler draws every row of a frame at once as if no column were taken,
 then redraws, in row order, only the contested rows: those that share a
@@ -185,8 +184,8 @@ def rbpf_step(
     the column that a ``rng.choice`` call per row would have picked from the
     same stream.  A row with no mass left (possible only when its NEW_TRACK
     entry is 0) takes NEW_TRACK and still uses up its uniform.  Raises
-    ``ValueError`` if ``matrix`` has a negative entry or a row whose sum is not
-    finite (a non-finite entry, or a sum that overflows).
+    ``ValueError``, before any draw, on a matrix that is not 2-D with a
+    NEW_TRACK column, or with a negative entry or a row sum that is not finite.
 
     Sampling: one ``_draw`` over every row, as if no column were taken, then
     each contested row (one that shares a real column with an earlier row)
@@ -201,6 +200,9 @@ def rbpf_step(
     Multiplying by 0.0/1.0 and adding exact zeros leaves every total and cdf
     entry as the row-by-row loop computes it; factors multiply in row order.
     """
+    if np.ndim(matrix) != 2 or np.shape(matrix)[1] < 1:
+        raise ValueError("association matrix must be (n_detections, n_tracks + 1), "
+                         f"got shape {np.shape(matrix)}")
     # Contiguous rows: each row total adds in the order of the loop's one-row sum.
     matrix = np.ascontiguousarray(matrix)
     n_det, n_cols = matrix.shape

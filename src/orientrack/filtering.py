@@ -103,21 +103,16 @@ def update(state: TrackState, z: np.ndarray, r: float = 10.0) -> TrackState:
     return TrackState(mean=mean, cov=_symmetrized(joseph))
 
 
-def squared_mahalanobis(
-    states: TrackState, measurements: np.ndarray, r: float = 10.0
-) -> np.ndarray:
+def squared_mahalanobis(states: TrackState, measurements: np.ndarray,
+                        r: float = 10.0) -> np.ndarray:
     """Squared innovation-covariance distances of every measurement to every state.
 
     ``states`` is one track or a stack of T.  Returns an (n_measurements, T)
-    matrix from one batched solve: each track's innovation covariance is
-    solved against all measurements' innovations at once.
+    matrix: ``gated_squared_mahalanobis`` with ``gate = inf``, which keeps every
+    pair, so its memory grows with the N T (4, 4) covariances it gathers.
     """
-    z = np.asarray(measurements, dtype=float).reshape(-1, MEAS_DIM)
-    means = states.mean.reshape(-1, STATE_DIM)[:, :MEAS_DIM]
-    S = _innovation_cov(states.cov.reshape(-1, STATE_DIM, STATE_DIM), r)
-    innovations = z[None, :, :] - means[:, None, :]  # (T, N, 4)
-    solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))  # (T, 4, N)
-    return np.einsum("tnk,tkn->nt", innovations, solved)
+    squared = gated_squared_mahalanobis(states, measurements, np.inf, r)[2]
+    return squared.reshape(np.size(measurements) // MEAS_DIM, states.mean.size // STATE_DIM)
 
 
 def gated_squared_mahalanobis(
@@ -129,18 +124,17 @@ def gated_squared_mahalanobis(
     row-major (measurement, state) order, and their squared distances from
     one stacked solve with an explicit (K, 4, 1) right-hand side.  A pair left
     out has a ``squared_mahalanobis`` entry above ``gate``; a kept pair's
-    distance may still lie above it, and may differ from the dense entry in
-    its last bits.
+    distance may still lie above it.  ``gate = inf`` keeps every pair, NaN
+    included, which is ``squared_mahalanobis``.
 
     Pre-gate: a pair is left out when y_i^2 > 2 gate S_ii for a coordinate i
     of its innovation y, with S = H P H^T + r I, while every S_ii <= 2^28 r;
     a state with a larger variance keeps every pair.  A NaN in y or in a
-    variance S_ii keeps its pair, so its NaN distance reaches the caller as
-    in the dense form; a NaN only off S's diagonal is not looked at.
-    Proof that no pair the dense computation keeps is left out: P is
+    variance S_ii keeps its pair; a NaN only off S's diagonal is not looked at.
+    Proof that no pair with a computed distance within ``gate`` is left out: P is
     symmetric PSD, so S's eigenvalues lie in [r, tr(S)], tr(S) <= 4 max S_ii
     <= 2^30 r, and exactly y_i^2 <= S_ii y^T S^-1 y (Cauchy-Schwarz in the
-    S^-1 inner product).  The dense solve is LU with partial pivoting, so its
+    S^-1 inner product).  The pair solve is LU with partial pivoting, so its
     x solves (S + E) x = y with |E| <= c u |S| <= c u tr(S), where c < 10^4
     for 4 x 4 systems (Higham, *Accuracy and Stability of Numerical
     Algorithms*, thm. 9.4 and lemma 9.6, growth factor <= 8) and u = 2^-53;

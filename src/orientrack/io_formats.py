@@ -467,12 +467,14 @@ def check_count(value, name: str, least: int) -> int:
 
 
 def check_real(value, name: str, rule: str = "positive") -> None:
-    """Real and fraction rules: a finite Real, not a bool, > 0, >= 0 or in (0, 1) by ``rule``."""
+    """Real and fraction rules: a Real, not a bool, that is also finite and > 0, >= 0
+    or in (0, 1) by ``rule``; the rule ``"real"`` asks no more."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if rule == "fraction" and not 0 < value < 1:
         raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
-    if not (math.isfinite(value) and (value > 0 if rule == "positive" else value >= 0)):
+    if rule != "real" and not (
+            math.isfinite(value) and (value > 0 if rule == "positive" else value >= 0)):
         raise ValueError(f"{name} must be {rule} and finite, got {value}")
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orientrack.association import CHI2_GATE
 from orientrack.filtering import (
     MEAS_MATRIX,
     PROCESS_WEIGHTS,
     TRANSITION,
     TrackState,
     box_to_measurement,
+    gated_squared_mahalanobis,
     initial_state,
     mahalanobis,
     predict,
@@ -113,6 +115,53 @@ class TestMahalanobis:
         assert mahalanobis(s, z, r=sigma**2) == pytest.approx(5.0 / sigma, abs=1e-12)
 
 
+def random_states(rng, count):
+    states = [random_state(rng) for _ in range(count)]
+    return states, TrackState(mean=np.array([s.mean for s in states]).reshape(-1, 6),
+                              cov=np.array([s.cov for s in states]).reshape(-1, 6, 6))
+
+
+class TestDenseFormIsTheGatedKernel:
+    """``squared_mahalanobis`` is ``gated_squared_mahalanobis`` with ``gate = inf``,
+    which keeps every pair in row-major (measurement, state) order."""
+
+    @pytest.mark.parametrize("nan", [None, "innovation", "variance"])
+    @pytest.mark.parametrize("n_det", [0, 1, 4])
+    @pytest.mark.parametrize("n_trk", [0, 1, 3])
+    def test_inf_gate_keeps_every_pair(self, n_trk, n_det, nan):
+        rng = np.random.default_rng(n_trk * 10 + n_det)
+        for _ in range(20):
+            _, states = random_states(rng, n_trk)
+            z = rng.normal(0, 30, (n_det, 4))
+            if nan == "innovation" and n_det:
+                z[rng.integers(n_det), rng.integers(4)] = np.nan
+            if nan == "variance" and n_trk:
+                i = rng.integers(4)
+                states.cov[rng.integers(n_trk), i, i] = np.nan
+            r = float(rng.uniform(0.1, 20))
+            with np.errstate(invalid="ignore"):
+                dets, tracks, squared = gated_squared_mahalanobis(states, z, np.inf, r)
+                dense = squared_mahalanobis(states, z, r)
+            assert dets.tolist() == np.repeat(np.arange(n_det), n_trk).tolist()
+            assert tracks.tolist() == np.tile(np.arange(n_trk), n_det).tolist()
+            assert dense.shape == (n_det, n_trk)
+            assert dense.tobytes() == squared.tobytes()
+            assert np.isnan(dense).any() == (nan is not None and n_det * n_trk > 0)
+
+    def test_mahalanobis_is_the_root_of_a_kept_pair(self):
+        rng = np.random.default_rng(9)
+        kept = 0
+        for _ in range(200):
+            states, stack = random_states(rng, 4)
+            z = stack.mean[rng.integers(0, 4, 5), :4] + rng.normal(0, 3, (5, 4))
+            r = float(rng.uniform(0.1, 20))
+            dets, tracks, squared = gated_squared_mahalanobis(stack, z, CHI2_GATE, r)
+            for d, t, d2 in zip(dets, tracks, squared):
+                assert mahalanobis(states[t], z[d], r).hex() == float(np.sqrt(d2)).hex()
+            kept += len(dets)
+        assert kept > 1000
+
+
 class TestCovarianceHealth:
     def test_psd_over_many_cycles(self):
         rng = np.random.default_rng(6)
@@ -208,12 +257,15 @@ def product_update(state, z, r):
 
 
 def product_squared_mahalanobis(states, z, r):
+    """Every (measurement, state) pair's distance with H written out as matrix
+    products: one stacked solve of the pairs' (K, 4, 1) innovations, K = N T in
+    row-major order, and a (1, 4) @ (4, 1) product per pair."""
     means = states.mean.reshape(-1, 6) @ MEAS_MATRIX.T
     covs = states.cov.reshape(-1, 6, 6)
     S = MEAS_MATRIX @ covs @ MEAS_MATRIX.T + r * np.eye(4)
-    innovations = z[None, :, :] - means[:, None, :]
-    solved = np.linalg.solve(S, innovations.transpose(0, 2, 1))
-    return np.einsum("tnk,tkn->nt", innovations, solved)
+    innovations = (z[:, None, :] - means[None, :, :]).reshape(-1, 4, 1)
+    solved = np.linalg.solve(np.tile(S, (len(z), 1, 1)), innovations)
+    return (innovations.swapaxes(-1, -2) @ solved).reshape(len(z), len(means))
 
 
 def same_bytes(a, b):

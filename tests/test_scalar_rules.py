@@ -1,5 +1,5 @@
-"""Every entry point that takes a count, the S2T range, a fraction or a named
-choice checks it by one rule.
+"""Every entry point that takes a count, the S2T range, an S2T value, a fraction
+or a named choice checks it by one rule.
 
 ``io_formats.check_count``, ``check_real`` and ``check_choice`` hold the
 rules; the configs, the gallery, the bin step, the particle set, the
@@ -15,7 +15,9 @@ import pytest
 
 from orientrack.association import ParticleSet, combine
 from orientrack.gallery import Gallery
-from orientrack.metrics import build_gallery, id_switches, idf1, split_gallery_query
+from orientrack.metrics import (
+    LabeledFeature, build_gallery, id_switches, idf1, split_gallery_query,
+)
 from orientrack.pose_orientation import orientation_bin, orientation_bins
 from orientrack.synth import SynthConfig
 from orientrack.tracker import TrackerConfig
@@ -71,6 +73,33 @@ def test_numpy_integer_count_is_accepted(entry, name, call):
 def test_bad_smax_is_rejected_by_name(entry, call, value):
     with pytest.raises(ValueError, match="^smax must be "):
         call(value)
+
+
+# (entry point, call with the S2T value, and the bad values it rejects:
+# build_gallery reads None as NaN)
+S2T = [
+    ("orientation_bin", lambda v: orientation_bin(v, 2), ["x", None]),
+    ("build_gallery", lambda v: build_gallery([LabeledFeature(1, np.zeros(2), v)], "orient",
+                                              bins=2), ["x"]),
+]
+S2T_CASES = [(entry, call, value) for entry, call, bad in S2T
+             for value in bad + [True, np.True_, 0.5j, np.array([0.5])]]
+
+
+@pytest.mark.parametrize("entry, call, value", S2T_CASES,
+                         ids=[f"{entry}-{value!r}" for entry, _, value in S2T_CASES])
+def test_bad_s2t_is_rejected_by_name(entry, call, value):
+    got = re.escape(f"got {value!r}")
+    with pytest.raises(ValueError, match=f"^s2t must be a real number, {got}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (math.nan, 1), (math.inf, 1), (-math.inf, 0), (np.float32(-0.5), 0), (np.int64(1), 1),
+], ids=repr)
+def test_real_s2t_is_binned(value, expected):
+    # NaN takes the fallback bin, 2 // 2, and +-inf the edge bins.
+    assert orientation_bin(value, 2) == expected
 
 
 # (entry point, the name its error gives, call with the fraction)
